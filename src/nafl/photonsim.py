@@ -20,16 +20,20 @@ flag. Sampling is inverse-transform from a precomputed cumulative table;
 photons are processed in fixed-size chunks whose random streams depend only
 on (seed, chunk index), so results are bit-identical whatever the worker
 count.
+
+Density masses are exact where a closed form exists (the flat envelope) and
+composite Gauss-Legendre quadrature otherwise (the gaussian envelope).
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, stats
 
 from .errors import TooFewSamplesError
 
@@ -47,6 +51,10 @@ CHUNK_SIZE = 32768
 DEFAULT_BINS = 100
 
 _MASK64 = (1 << 64) - 1
+
+# Relative tolerance and underflow guard of the chi-square tail expansions.
+_EPS = 1e-16
+_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -108,68 +116,94 @@ def calibration_preset(photons: int, seed: int, mode: str = "quantum") -> SimCon
 # --------------------------------------------------------------------------
 
 
-def _envelope_values(x: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    if cfg.envelope == "flat":
+class _Shape(NamedTuple):
+    """The part of a SimConfig that the arrival densities depend on.
+
+    Norms and sampling tables are cached on this rather than on the whole
+    config, so a sweep over seeds or photon counts reuses them.
+    """
+
+    period: float
+    half_extent: int
+    envelope: str
+    envelope_width: float | None
+
+    @property
+    def extent(self) -> float:
+        return self.half_extent * self.period
+
+
+def _shape(cfg: SimConfig) -> _Shape:
+    return _Shape(cfg.period, cfg.half_extent, cfg.envelope, cfg.envelope_width)
+
+
+def _envelope_values(x: np.ndarray, shape: _Shape) -> np.ndarray:
+    if shape.envelope == "flat":
         return np.ones_like(x)
-    width = float(cfg.envelope_width)  # type: ignore[arg-type]
+    width = float(shape.envelope_width)  # type: ignore[arg-type]
     return np.exp(-0.5 * (x / width) ** 2)
 
 
-def _raw_quantum(x: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    return _envelope_values(x, cfg) * np.cos(np.pi * x / cfg.period) ** 2
+def _raw_density(mode: str, x: np.ndarray, shape: _Shape) -> np.ndarray:
+    """Unnormalized density: the envelope, times the fringes if coherent."""
+    if mode == "quantum":
+        return _envelope_values(x, shape) * np.cos(np.pi * x / shape.period) ** 2
+    return _envelope_values(x, shape)
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(20)
+
+
+def _masses(mode: str, edges: np.ndarray, shape: _Shape) -> np.ndarray:
+    """Unnormalized density mass between each pair of consecutive edges.
+
+    Flat envelope: closed forms, with the fringe antiderivative
+    x/2 + p sin(2 pi x/p)/(4 pi). Gaussian envelope: 20-point
+    Gauss-Legendre on panels no wider than half a period or the envelope
+    width, which agrees with adaptive quadrature to about 1e-15 relative.
+    """
+    edges = np.asarray(edges, dtype=float)
+    if shape.envelope == "flat":
+        if mode != "quantum":
+            return np.diff(edges)
+        p = shape.period
+        antiderivative = edges / 2.0 + p * np.sin(2.0 * np.pi * edges / p) / (4.0 * np.pi)
+        return np.diff(antiderivative)
+    nodes, weights = _gauss_legendre_rule()
+    lo, hi = edges[:-1], edges[1:]
+    widest = float(np.max(hi - lo))
+    width = float(shape.envelope_width)  # type: ignore[arg-type]
+    panel = min(shape.period / 2.0, width)
+    panels = max(1, math.ceil(widest / panel))
+    cuts = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, panels + 1)
+    half = 0.5 * np.diff(cuts, axis=1)
+    mid = 0.5 * (cuts[:, 1:] + cuts[:, :-1])
+    x = mid[..., None] + half[..., None] * nodes  # (intervals, panels, nodes)
+    return np.sum(half * (_raw_density(mode, x, shape) @ weights), axis=1)
 
 
 @lru_cache(maxsize=64)
-def _quantum_norm(cfg: SimConfig) -> float:
-    value, _ = integrate.quad(
-        lambda x: float(_raw_quantum(np.asarray(x), cfg)),
-        -cfg.extent,
-        cfg.extent,
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=50 + 20 * cfg.half_extent,
-    )
-    return value
+def _norm(mode: str, shape: _Shape) -> float:
+    return float(_masses(mode, np.array([-shape.extent, shape.extent]), shape)[0])
 
 
-@lru_cache(maxsize=64)
-def _classical_norm(cfg: SimConfig) -> float:
-    if cfg.envelope == "flat":
-        return 2.0 * cfg.extent
-    value, _ = integrate.quad(
-        lambda x: float(_envelope_values(np.asarray(x), cfg)),
-        -cfg.extent,
-        cfg.extent,
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=50 + 20 * cfg.half_extent,
-    )
-    return value
+def _pdf(mode: str, x, shape: _Shape):
+    arr = np.asarray(x, dtype=float)
+    inside = np.abs(arr) <= shape.extent
+    values = np.where(inside, _raw_density(mode, arr, shape) / _norm(mode, shape), 0.0)
+    return float(values) if np.isscalar(x) else values
 
 
 def quantum_pdf(x, cfg: SimConfig):
     """Normalized coherent-pattern density; zero outside the extent."""
-    arr = np.asarray(x, dtype=float)
-    inside = np.abs(arr) <= cfg.extent
-    values = np.where(inside, _raw_quantum(arr, cfg) / _quantum_norm(cfg), 0.0)
-    return float(values) if np.isscalar(x) else values
+    return _pdf("quantum", x, _shape(cfg))
 
 
 def classical_pdf(x, cfg: SimConfig):
     """Normalized envelope density (uniform for a flat envelope)."""
-    arr = np.asarray(x, dtype=float)
-    inside = np.abs(arr) <= cfg.extent
-    values = np.where(inside, _envelope_values(arr, cfg) / _classical_norm(cfg), 0.0)
-    return float(values) if np.isscalar(x) else values
-
-
-def mode_pdf(mode: str, cfg: SimConfig):
-    """The arrival density used by a mode (single-slit shares the envelope shape)."""
-    if mode == "quantum":
-        return lambda x: quantum_pdf(x, cfg)
-    if mode in ("classical", "single-slit"):
-        return lambda x: classical_pdf(x, cfg)
-    raise ValueError(f"mode must be one of {MODES}; got {mode!r}")
+    return _pdf("classical", x, _shape(cfg))
 
 
 # --------------------------------------------------------------------------
@@ -197,13 +231,16 @@ def wire_centers(cfg: SimConfig) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=64)
-def _cumulative_table(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(cdf knots, x knots) for inverse-transform sampling of cfg's mode."""
-    xs = np.linspace(-cfg.extent, cfg.extent, TABLE_KNOTS)
-    density = mode_pdf(cfg.mode, cfg)(xs)
+def _cumulative_table(mode: str, shape: _Shape) -> tuple[np.ndarray, np.ndarray]:
+    """(cdf knots, x knots) for inverse-transform sampling of a mode."""
+    xs = np.linspace(-shape.extent, shape.extent, TABLE_KNOTS)
+    density = _pdf(mode, xs, shape)
     steps = 0.5 * (density[1:] + density[:-1]) * np.diff(xs)
     cdf = np.concatenate(([0.0], np.cumsum(steps)))
     cdf /= cdf[-1]
+    # Every run with this shape shares the arrays.
+    cdf.flags.writeable = False
+    xs.flags.writeable = False
     return cdf, xs
 
 
@@ -282,7 +319,7 @@ def simulate(cfg: SimConfig, workers: int = 1) -> SimResult:
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    cdf, xs = _cumulative_table(cfg)
+    cdf, xs = _cumulative_table(cfg.mode, _shape(cfg))
     edges: np.ndarray | None = None
     if cfg.grid:
         edges = np.asarray([e for interval in make_grid(cfg) for e in interval])
@@ -313,19 +350,67 @@ def simulate(cfg: SimConfig, workers: int = 1) -> SimResult:
 
 
 def analytic_blocked_fraction(mode: str, cfg: SimConfig) -> float:
-    """Quadrature of the mode's density over the wire intervals.
+    """Mass of the mode's density over the wire intervals.
 
     Computed from the grid geometry alone, whether or not cfg.grid is set;
-    absolute error stays below 1e-9.
+    absolute error stays below 1e-12.
     """
-    density = mode_pdf(mode, cfg)
-    total = 0.0
-    for lo, hi in make_grid(cfg):
-        value, _ = integrate.quad(
-            lambda x: float(density(x)), lo, hi, epsabs=1e-12, limit=200
-        )
-        total += value
-    return total
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}; got {mode!r}")
+    shape = _shape(cfg)
+    wires = make_grid(cfg)
+    if mode == "quantum" and shape.envelope == "flat":
+        # Each wire is centred on a minimum, where the fringe integral is
+        # (w - p sin(pi w/p)/pi)/2; unlike a difference of antiderivatives,
+        # this form does not cancel for narrow wires.
+        w, p = cfg.wire_width, cfg.period
+        raw = len(wires) * (w - p * math.sin(math.pi * w / p) / math.pi) / 2.0
+    else:
+        raw = float(np.sum(_masses(mode, np.ravel(wires), shape)[::2]))
+    return raw / _norm(mode, shape)
+
+
+def _chi2_sf(chi2: float, dof: int) -> float:
+    """Chi-square survival function, the regularized gamma Q(dof/2, chi2/2).
+
+    A series for P = 1 - Q when x < a + 1, otherwise a continued fraction for
+    Q by the modified Lentz method (Press et al., Numerical Recipes, 6.2).
+    """
+    a, x = dof / 2.0, chi2 / 2.0
+    if x <= 0.0:
+        return 1.0
+    # Both expansions need O(sqrt(a)) terms near x = a.
+    max_terms = 100 + int(20.0 * math.sqrt(a))
+    prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        denominator = a
+        for _ in range(max_terms):
+            denominator += 1.0
+            term *= x / denominator
+            total += term
+            if abs(term) < abs(total) * _EPS:
+                return 1.0 - total * prefactor
+    else:
+        b = x + 1.0 - a
+        c = 1.0 / _TINY
+        d = 1.0 / b
+        h = d
+        for i in range(1, max_terms):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d = _TINY if abs(d) < _TINY else d
+            c = b + an / c
+            c = _TINY if abs(c) < _TINY else c
+            d = 1.0 / d
+            step = d * c
+            h *= step
+            if abs(step - 1.0) < _EPS:
+                return h * prefactor
+    raise ArithmeticError(
+        f"chi-square tail did not converge for chi2={chi2}, dof={dof}"
+    )
 
 
 @dataclass(frozen=True)
@@ -346,20 +431,16 @@ class ReconstructionReport:
 def reconstruct(res: SimResult, bins: int) -> ReconstructionReport:
     """Chi-square the detected arrivals against the coherent pattern.
 
-    Expected bin masses come from quadrature of quantum_pdf, so a classical
-    or single-slit run fails loudly. Also checks that each empirical fringe
-    minimum falls within half a bin of its wire center.
+    Expected bin masses are integrals of quantum_pdf over the bins, so a
+    classical or single-slit run fails loudly. Also checks that each
+    empirical fringe minimum falls within half a bin of its wire center.
     """
     cfg = res.config
     extent = cfg.extent
     detected = res.detected_x
     counts, edges = np.histogram(detected, bins=bins, range=(-extent, extent))
-    masses = np.empty(bins)
-    for i in range(bins):
-        masses[i], _ = integrate.quad(
-            lambda x: quantum_pdf(x, cfg), edges[i], edges[i + 1],
-            epsabs=1e-12, limit=100,
-        )
+    shape = _shape(cfg)
+    masses = _masses("quantum", edges, shape) / _norm("quantum", shape)
     expected = masses * detected.size
     if np.any(expected < 5.0):
         raise TooFewSamplesError(
@@ -368,7 +449,7 @@ def reconstruct(res: SimResult, bins: int) -> ReconstructionReport:
         )
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     dof = bins - 1
-    p_value = float(stats.chi2.sf(chi2, dof))
+    p_value = _chi2_sf(chi2, dof)
 
     bin_centers = 0.5 * (edges[:-1] + edges[1:])
     bin_width = edges[1] - edges[0]

@@ -453,6 +453,8 @@ def run_scenario(scenario: Scenario) -> TimelineReport:
                         else "inconsistency"
                     )
                     rejections.append(RejectionRecord(event, at, kind, str(exc)))
+                except NaflError as exc:
+                    raise ScenarioExecutionError(event.describe(), exc) from exc
                 else:
                     mismatches.append(
                         f"{event.describe()}: declaration was expected to be "

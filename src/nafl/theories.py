@@ -69,7 +69,7 @@ def _is_legal(axioms: Sequence[Formula], phi: Formula) -> bool:
         return True
     return all(
         _classify(axioms, Atom(name)) is not PropStatus.UNDECIDABLE
-        for name in atoms_of(phi)
+        for name in sorted(atoms_of(phi))
     )
 
 
@@ -157,7 +157,7 @@ class Theory:
             return True
         return all(
             self.atom_status(name) is not PropStatus.UNDECIDABLE
-            for name in atoms_of(phi)
+            for name in sorted(atoms_of(phi))
         )
 
     def decided_atoms(self) -> tuple[str, ...]:

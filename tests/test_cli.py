@@ -112,6 +112,19 @@ def test_run_unexpected_rejection_exits_2(tmp_path, capsys):
     assert run(["run", str(path)]) == 2
 
 
+def test_run_expect_reject_at_an_occupied_time_exits_2(tmp_path, capsys):
+    path = tmp_path / "clash.scn"
+    path.write_text(
+        MISMATCH_SCENARIO.replace(
+            "at t1 expect-reject declare Q",
+            "at t1 declare Q\nat t1 expect-reject declare P & ~P",
+        ),
+        encoding="utf-8",
+    )
+    assert run(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_run_expectation_mismatch_exits_4(tmp_path, capsys):
     path = tmp_path / "mm.scn"
     path.write_text(MISMATCH_SCENARIO, encoding="utf-8")

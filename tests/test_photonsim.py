@@ -1,5 +1,8 @@
 """Monte Carlo simulator: densities, grid geometry, sampling, reconstruction.
 
+scipy is not a dependency of nafl; here it is an independent oracle for the
+closed forms, the Gauss-Legendre masses and the chi-square tail.
+
 Frozen oracle values below were computed by direct quadrature of the
 normalized densities over the wire intervals (flat envelope, period 1,
 half extent 10):
@@ -13,12 +16,14 @@ w - sin(pi w)/pi (period units), whose cubic leading term is
 (pi^2/6) (w)^3.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
+from nafl import photonsim
 from nafl.errors import TooFewSamplesError
 from nafl.photonsim import (
     CHUNK_SIZE,
@@ -109,6 +114,77 @@ def test_classical_pdf_is_flat_inside():
     assert classical_pdf(0.0, cfg) == pytest.approx(1.0 / 20.0)
     assert classical_pdf(9.9, cfg) == pytest.approx(1.0 / 20.0)
     assert classical_pdf(10.1, cfg) == 0.0
+
+
+def _quad(f, lo, hi):
+    value, _ = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=1000)
+    return value
+
+
+def _gaussian_fringes(width):
+    return lambda x: math.exp(-0.5 * (x / width) ** 2) * math.cos(math.pi * x) ** 2
+
+
+def _gaussian(width):
+    return lambda x: math.exp(-0.5 * (x / width) ** 2)
+
+
+@pytest.mark.parametrize("width", [0.3, 3.0, 100.0])
+def test_gaussian_norms_match_adaptive_quadrature(width):
+    cfg = small(envelope="gaussian", envelope_width=width)
+    pairs = ((quantum_pdf, _gaussian_fringes(width)), (classical_pdf, _gaussian(width)))
+    for pdf, raw in pairs:
+        norm = _quad(raw, -cfg.extent, cfg.extent)
+        assert pdf(0.0, cfg) == pytest.approx(1.0 / norm, rel=1e-12)
+
+
+@pytest.mark.parametrize("width", [0.3, 3.0, 100.0])
+def test_gaussian_bin_masses_match_adaptive_quadrature(width):
+    cfg = small(envelope="gaussian", envelope_width=width)
+    edges = np.linspace(-cfg.extent, cfg.extent, 101)
+    masses = photonsim._masses("quantum", edges, photonsim._shape(cfg))
+    raw = _gaussian_fringes(width)
+    expected = [_quad(raw, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    np.testing.assert_allclose(masses, expected, rtol=1e-12, atol=0.0)
+
+
+def test_flat_bin_masses_match_adaptive_quadrature():
+    cfg = small()
+    edges = np.linspace(-cfg.extent, cfg.extent, 101)
+    masses = photonsim._masses("quantum", edges, photonsim._shape(cfg))
+    expected = [
+        _quad(lambda x: math.cos(math.pi * x) ** 2, lo, hi)
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
+    np.testing.assert_allclose(masses, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("width", [0.3, 3.0, 100.0])
+def test_gaussian_blocked_fractions_match_adaptive_quadrature(width):
+    cfg = small(envelope="gaussian", envelope_width=width)
+    pairs = (("quantum", _gaussian_fringes(width)), ("classical", _gaussian(width)))
+    for mode, raw in pairs:
+        blocked = sum(_quad(raw, lo, hi) for lo, hi in make_grid(cfg))
+        expected = blocked / _quad(raw, -cfg.extent, cfg.extent)
+        fraction = analytic_blocked_fraction(mode, cfg)
+        assert fraction == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("dof", [9, 49, 99, 199])
+def test_chi_square_tail_matches_scipy(dof):
+    # both sides of the series / continued-fraction switch at chi2 = dof + 2
+    switch = [dof + 1.5, dof + 2.0, dof + 2.5]
+    points = np.concatenate([np.linspace(1.0, 600.0, 300), switch])
+    for chi2 in points:
+        assert photonsim._chi2_sf(float(chi2), dof) == pytest.approx(
+            stats.chi2.sf(chi2, dof), rel=1e-10
+        )
+    assert photonsim._chi2_sf(0.0, dof) == 1.0
+
+
+def test_importing_nafl_leaves_scipy_out(run_python):
+    script = "import sys, nafl, nafl.cli; print('scipy' in sys.modules)"
+    assert run_python(script).strip() == "False"
 
 
 # -- grid geometry --------------------------------------------------------------
@@ -236,6 +312,21 @@ def test_worker_count_never_changes_the_result():
     assert simulate(cfg, workers=8) == baseline
     with pytest.raises(ValueError):
         simulate(cfg, workers=0)
+
+
+def test_seed_sweep_reuses_the_sampling_table_and_norms():
+    # a geometry no other test uses, so the first run is a miss
+    cfg = small(photons=500, period=0.75, wire_width=0.07)
+    simulate(cfg)
+    tables = photonsim._cumulative_table.cache_info().hits
+    norms = photonsim._norm.cache_info().hits
+    for seed in range(1, 6):
+        swept = dataclasses.replace(cfg, seed=seed, photons=500 + seed)
+        simulate(swept)
+        analytic_blocked_fraction("quantum", swept)
+        assert simulate(swept, workers=2) == simulate(swept, workers=1)
+    assert photonsim._cumulative_table.cache_info().hits >= tables + 15
+    assert photonsim._norm.cache_info().hits >= norms + 5
 
 
 def test_chunk_streams_depend_only_on_seed_and_index():

@@ -146,6 +146,15 @@ def test_unexpected_rejection_is_an_execution_error():
     assert "P & ~P" in str(info.value)
 
 
+def test_expect_reject_at_an_occupied_time_is_an_execution_error():
+    # the expect-reject declare lands on an epoch that already starts at t1,
+    # which is a timeline error, not a rejection by the theory syntax
+    text = MINIMAL + "at t1 expect-reject declare P & ~P\n"
+    with pytest.raises(ScenarioExecutionError) as info:
+        run_scenario(parse_scenario(text))
+    assert "expect-reject declare P & ~P" in str(info.value)
+
+
 def test_expect_reject_mismatch_is_reported_not_raised():
     text = MINIMAL.replace("at t1 declare Q", "at t1 expect-reject declare Q")
     report = run_scenario(parse_scenario(text))
