@@ -14,10 +14,8 @@ Carlo with a wire grid parked on the interference minima.
 
 from .classical import (
     entails,
-    entails_by_enumeration,
     eval_formula,
     is_satisfiable,
-    is_satisfiable_by_enumeration,
     valuations,
     vocabulary_of,
 )
@@ -159,12 +157,10 @@ __all__ = [
     "classical_pdf",
     "duality_check",
     "entails",
-    "entails_by_enumeration",
     "eval_formula",
     "format_formula",
     "format_stamp",
     "is_satisfiable",
-    "is_satisfiable_by_enumeration",
     "load_scenario",
     "load_theory",
     "make_grid",

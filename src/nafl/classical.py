@@ -1,8 +1,8 @@
 """Classical consequence over finite vocabularies.
 
-Two independent routes: a backtracking satisfiability search (the default)
-and exhaustive valuation enumeration (the cross-check oracle). Both are exact;
-tests require them to agree.
+One exact decision path: a backtracking satisfiability search with partial
+evaluation. The tests cross-check it against exhaustive valuation
+enumeration, which they keep as their oracle.
 """
 
 from __future__ import annotations
@@ -52,28 +52,7 @@ def valuations(vocab: Sequence[str]) -> Iterator[dict[str, bool]]:
 
 
 # --------------------------------------------------------------------------
-# Route 1: exhaustive valuation enumeration
-# --------------------------------------------------------------------------
-
-
-def is_satisfiable_by_enumeration(axioms: Sequence[Formula]) -> bool:
-    vocab = _check_vocab(axioms)
-    return any(
-        all(eval_formula(ax, v) for ax in axioms) for v in valuations(vocab)
-    )
-
-
-def entails_by_enumeration(axioms: Sequence[Formula], phi: Formula) -> bool:
-    vocab = _check_vocab(list(axioms) + [phi])
-    return all(
-        eval_formula(phi, v)
-        for v in valuations(vocab)
-        if all(eval_formula(ax, v) for ax in axioms)
-    )
-
-
-# --------------------------------------------------------------------------
-# Route 2: backtracking search with partial evaluation
+# Backtracking search with partial evaluation
 # --------------------------------------------------------------------------
 
 

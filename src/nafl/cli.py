@@ -18,12 +18,14 @@ actually happened.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import photonsim
+from .duality import _endpoints
 from .errors import (
     IllegalAxiomError,
     IllegalPropositionError,
@@ -39,7 +41,7 @@ from .errors import (
 )
 from .scenarios import builtin_names, load_scenario, run_scenario
 from .syntax import format_formula, parse_formula
-from .theories import PropStatus, Theory, parse_theory
+from .theories import Theory, parse_theory
 from .timeline import Timeline, format_stamp
 
 EXIT_OK = 0
@@ -181,7 +183,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
     settings.setdefault("seed", 0)
     try:
         cfg = photonsim.SimConfig(**settings)
-    except ValueError as exc:
+        photonsim._wire_windows(cfg, args.bins)
+    except (ValueError, NaflError) as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
 
     result = photonsim.simulate(cfg, workers=args.workers)
@@ -290,6 +293,8 @@ def cmd_repl(args: argparse.Namespace) -> int:
                 print(f"vocabulary: {' '.join(sorted(state.vocabulary))}")
             elif command == "advance":
                 when = float(rest)
+                if not math.isfinite(when):
+                    raise ValueError(f"time {rest} is not finite")
                 if when < state.clock:
                     print(f"clock already at {format_stamp(state.clock)}; cannot go back")
                     continue
@@ -320,10 +325,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
             elif command == "duality":
                 theory = state.timeline().theory_at(state.clock)
                 for atom in sorted(theory.vocabulary):
-                    if theory.atom_status(atom) is PropStatus.UNDECIDABLE:
-                        d, v = 0.0, 1.0
-                    else:
-                        d, v = 1.0, 0.0
+                    d, v = _endpoints(theory.atom_status(atom))
                     print(f"  {atom}: D={d:.1f} V={v:.1f} D^2+V^2={d * d + v * v:.1f}")
             else:
                 print(f"unknown command {command!r}")

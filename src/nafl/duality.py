@@ -31,16 +31,19 @@ class DualityRecord:
         return self.distinguishability**2 + self.visibility**2
 
 
+def _endpoints(status: PropStatus) -> tuple[float, float]:
+    """(D, V) for a path atom's status: undecided -> (0, 1), decided -> (1, 0)."""
+    return (0.0, 1.0) if status is PropStatus.UNDECIDABLE else (1.0, 0.0)
+
+
 def assign_duality(scenario: "Scenario", tl: Timeline) -> tuple[DualityRecord, ...]:
-    """One record per labeled time: undecided path atom -> (0, 1), decided -> (1, 0)."""
-    records = []
-    for label, value in scenario.times:
-        status = tl.theory_at(value).atom_status(scenario.tracked)
-        if status is PropStatus.UNDECIDABLE:
-            records.append(DualityRecord(label, value, 0.0, 1.0))
-        else:
-            records.append(DualityRecord(label, value, 1.0, 0.0))
-    return tuple(records)
+    """One record per labeled time, from the tracked atom's status there."""
+    return tuple(
+        DualityRecord(
+            label, value, *_endpoints(tl.theory_at(value).atom_status(scenario.tracked))
+        )
+        for label, value in scenario.times
+    )
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TooFewSamplesError
+from .errors import NaflError, TooFewSamplesError
 
 MODES = ("quantum", "classical", "single-slit")
 ENVELOPES = ("flat", "gaussian")
@@ -428,6 +428,30 @@ class ReconstructionReport:
         return all(ok for _, _, ok in self.minima)
 
 
+def _wire_windows(cfg: SimConfig, bins: int) -> tuple[np.ndarray, list]:
+    """Bin centres, and per wire (its centre, the bins whose centre lies
+    within half a period of it).
+
+    Raises NaflError for fewer than 2 bins (no degree of freedom is left) or
+    when some wire's window holds no bin centre to search for its minimum.
+    """
+    if bins < 2:
+        raise NaflError(f"the histogram needs at least 2 bins; got {bins}")
+    edges = np.linspace(-cfg.extent, cfg.extent, bins + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    windows = []
+    for center in wire_centers(cfg):
+        window = np.nonzero(np.abs(centers - center) <= cfg.period / 2.0)[0]
+        if window.size == 0:
+            raise NaflError(
+                f"with {bins} bins no bin centre lies within half a period of "
+                f"the wire at {center:g}; {2 * cfg.half_extent} or more bins "
+                "always work"
+            )
+        windows.append((center, window))
+    return centers, windows
+
+
 def reconstruct(res: SimResult, bins: int) -> ReconstructionReport:
     """Chi-square the detected arrivals against the coherent pattern.
 
@@ -436,6 +460,7 @@ def reconstruct(res: SimResult, bins: int) -> ReconstructionReport:
     empirical fringe minimum falls within half a bin of its wire center.
     """
     cfg = res.config
+    bin_centers, windows = _wire_windows(cfg, bins)
     extent = cfg.extent
     detected = res.detected_x
     counts, edges = np.histogram(detected, bins=bins, range=(-extent, extent))
@@ -451,12 +476,9 @@ def reconstruct(res: SimResult, bins: int) -> ReconstructionReport:
     dof = bins - 1
     p_value = _chi2_sf(chi2, dof)
 
-    bin_centers = 0.5 * (edges[:-1] + edges[1:])
     bin_width = edges[1] - edges[0]
     minima = []
-    for center in wire_centers(cfg):
-        window = np.abs(bin_centers - center) <= cfg.period / 2.0
-        indices = np.nonzero(window)[0]
+    for center, indices in windows:
         local = indices[np.argmin(counts[indices])]
         matched = float(bin_centers[local])
         ok = abs(matched - center) <= bin_width / 2.0 + 1e-9

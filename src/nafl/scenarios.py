@@ -23,6 +23,7 @@ delayed_choice, schrodinger_cat, coin_toss, young_two_slit.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -158,6 +159,8 @@ def parse_scenario(text: str) -> Scenario:
                 value = float(parts[1])
             except ValueError:
                 raise ScenarioParseError(f"bad time value {parts[1]!r}", lineno) from None
+            if not math.isfinite(value):
+                raise ScenarioParseError(f"time value {parts[1]!r} is not finite", lineno)
             times.append((parts[0], value))
         elif directive == "bridge":
             bridges.append(_parse_line_formula(rest, lineno))

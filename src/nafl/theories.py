@@ -22,6 +22,11 @@ theory formed by the axioms before it. Construction order therefore matters,
 and an axiom that decides previously undecided atoms (a bridge implication,
 say) may itself no longer be legal in the finished theory; it was legal when
 added, which is what construction enforces.
+
+A Theory in hand is therefore already validated, so ``extend`` checks only
+the delta, each formula against the theory grown so far, and never the
+axioms it inherits. A Theory decides each formula at most once: statuses
+are memoized per Theory, and the layered rule reads the same memo.
 """
 
 from __future__ import annotations
@@ -56,103 +61,98 @@ class PropStatus(enum.Enum):
     UNDECIDABLE = "undecidable"
 
 
-def _classify(axioms: Sequence[Formula], phi: Formula) -> PropStatus:
-    if classical.entails(axioms, phi):
-        return PropStatus.PROVABLE
-    if classical.entails(axioms, Not(phi)):
-        return PropStatus.REFUTABLE
-    return PropStatus.UNDECIDABLE
-
-
-def _is_legal(axioms: Sequence[Formula], phi: Formula) -> bool:
-    if _classify(axioms, phi) is PropStatus.UNDECIDABLE:
-        return True
-    return all(
-        _classify(axioms, Atom(name)) is not PropStatus.UNDECIDABLE
-        for name in sorted(atoms_of(phi))
-    )
-
-
 @dataclass(frozen=True)
 class Theory:
     """Immutable named axiom set over a fixed vocabulary.
 
     Construction validates everything: vocabulary size, axiom atoms,
     incremental axiom legality, and consistency. A Theory in hand is
-    therefore always consistent.
+    therefore always consistent, and every status it decides is memoized.
     """
 
     name: str
     vocabulary: frozenset[str]
     axioms: tuple[Formula, ...] = ()
-    _atom_status: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _status: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __init__(self, name: str, vocabulary: Iterable[str], axioms: Iterable[Formula] = ()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "vocabulary", frozenset(vocabulary))
-        object.__setattr__(self, "axioms", tuple(axioms))
-        object.__setattr__(self, "_atom_status", {})
-        self._validate()
-
-    def _validate(self) -> None:
-        if len(self.vocabulary) > classical.VOCAB_LIMIT:
+        vocabulary = frozenset(vocabulary)
+        if len(vocabulary) > classical.VOCAB_LIMIT:
             raise VocabularyError(
-                f"theory {self.name!r} declares {len(self.vocabulary)} atoms; "
+                f"theory {name!r} declares {len(vocabulary)} atoms; "
                 f"the supported bound is {classical.VOCAB_LIMIT}"
             )
-        for axiom in self.axioms:
+        # The empty prefix is a theory of its own: its memo holds statuses
+        # against no axioms, which must not outlive the validation.
+        grown = Theory._trusted(name, vocabulary, ())._admit(name, tuple(axioms))
+        vars(self).update(vars(grown))
+
+    @classmethod
+    def _trusted(cls, name: str, vocabulary: frozenset[str], axioms: tuple) -> "Theory":
+        """A theory whose axioms are already known to be valid."""
+        theory = object.__new__(cls)
+        vars(theory).update(name=name, vocabulary=vocabulary, axioms=axioms, _status={})
+        return theory
+
+    def _admit(self, name: str, delta: tuple[Formula, ...]) -> "Theory":
+        """Theory `name`: self's axioms plus delta, each legal in its prefix.
+
+        Self is already validated, so only the delta is checked.
+        """
+        for axiom in delta:
             stray = atoms_of(axiom) - self.vocabulary
             if stray:
                 raise UnknownAtomError(
-                    f"axiom {axiom} of theory {self.name!r} uses undeclared "
+                    f"axiom {axiom} of theory {name!r} uses undeclared "
                     f"atom(s) {', '.join(sorted(stray))}"
                 )
-        for index, axiom in enumerate(self.axioms):
-            prior = self.axioms[:index]
-            if not _is_legal(prior, axiom):
+        theory = self
+        for axiom in delta:
+            if not theory.is_legal(axiom):
                 raise IllegalAxiomError(
                     str(axiom),
                     "its truth is already fixed by the preceding axioms while "
                     "it contains an atom they leave undecided, so it is "
                     "outside the theory syntax",
                 )
-        if not classical.is_satisfiable(self.axioms):
+            theory = Theory._trusted(name, self.vocabulary, theory.axioms + (axiom,))
+        if not classical.is_satisfiable(theory.axioms):
             raise InconsistentTheoryError(
-                f"axioms of theory {self.name!r} have no model"
+                f"axioms of theory {name!r} have no model"
             )
+        return theory
 
     # -- classification -----------------------------------------------------
 
-    def _check_atoms(self, phi: Formula) -> None:
-        stray = atoms_of(phi) - self.vocabulary
-        if stray:
-            raise UnknownAtomError(
-                f"formula {phi} uses atom(s) {', '.join(sorted(stray))} "
-                f"outside the vocabulary of theory {self.name!r}"
-            )
-
     def atom_status(self, name: str) -> PropStatus:
-        """Status of a single atom, cached (theories are immutable)."""
+        """Status of a single atom, from the same memo as classify."""
         if name not in self.vocabulary:
             raise UnknownAtomError(
                 f"atom {name!r} is outside the vocabulary of theory {self.name!r}"
             )
-        status = self._atom_status.get(name)
-        if status is None:
-            status = _classify(self.axioms, Atom(name))
-            self._atom_status[name] = status
-        return status
+        return self.classify(Atom(name))
 
     def classify(self, phi: Formula) -> PropStatus:
         """Provable if entailed, refutable if the negation is, else undecidable."""
-        self._check_atoms(phi)
-        return _classify(self.axioms, phi)
+        status = self._status.get(phi)
+        if status is None:
+            stray = atoms_of(phi) - self.vocabulary
+            if stray:
+                raise UnknownAtomError(
+                    f"formula {phi} uses atom(s) {', '.join(sorted(stray))} "
+                    f"outside the vocabulary of theory {self.name!r}"
+                )
+            if classical.entails(self.axioms, phi):
+                status = PropStatus.PROVABLE
+            elif classical.entails(self.axioms, Not(phi)):
+                status = PropStatus.REFUTABLE
+            else:
+                status = PropStatus.UNDECIDABLE
+            self._status[phi] = status
+        return status
 
     def is_legal(self, phi: Formula) -> bool:
         """Membership in this theory's theory syntax (layered rule)."""
-        self._check_atoms(phi)
         if self.classify(phi) is PropStatus.UNDECIDABLE:
             return True
         return all(
@@ -180,13 +180,13 @@ class Theory:
         """New theory with the extra axioms appended; self is unchanged.
 
         Each formula must be legal relative to the theory built so far and
-        the grown axiom set must stay consistent.
+        the grown axiom set must stay consistent. Only the delta is checked.
         """
         delta = tuple(delta)
         if not delta:
             return self
         suffix = "+".join(str(d) for d in delta)
-        return Theory(f"{self.name}+{suffix}", self.vocabulary, self.axioms + delta)
+        return self._admit(f"{self.name}+{suffix}", delta)
 
     # -- theorem enumeration --------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Time-indexed interpretations of a base theory.
 
 The observer starts from a base theory and appends axiomatic declarations at
-strictly increasing real-valued times. Each declaration opens a new epoch;
+strictly increasing finite times. Each declaration opens a new epoch;
 within the half-open interval [start, next start) the active interpretation
 is the base theory plus every delta declared so far. The first epoch carries
 an empty delta: initially the interpretation is the base theory itself.
@@ -23,6 +23,7 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from . import classical
@@ -30,6 +31,7 @@ from .errors import (
     BeforeExperimentError,
     IllegalPropositionError,
     OutOfOrderTimeError,
+    TimelineError,
     UnknownAtomError,
     UnprovableRetroError,
 )
@@ -41,6 +43,13 @@ class TruthValue(enum.Enum):
     TRUE = "true"
     FALSE = "false"
     NEITHER = "neither"
+
+
+def _finite(t: float) -> float:
+    t = float(t)
+    if not math.isfinite(t):
+        raise TimelineError(f"time {t} is not finite")
+    return t
 
 
 def format_stamp(t: float) -> str:
@@ -85,17 +94,17 @@ class Timeline:
     @classmethod
     def begin(cls, base: Theory, start: float) -> "Timeline":
         """Fresh timeline whose first epoch adds nothing to the base theory."""
-        return cls(base, (Epoch(float(start), (), base),))
+        return cls(base, (Epoch(_finite(start), (), base),))
 
     # -- declarations --------------------------------------------------------
 
     def declare(self, at: float, delta: Sequence[Formula]) -> "Timeline":
         """Append an epoch at `at` extending the interpretation by `delta`.
 
-        Raises OutOfOrderTimeError unless `at` is after the last epoch start;
-        legality and consistency failures propagate from Theory.extend.
+        Raises TimelineError for a non-finite `at` and OutOfOrderTimeError
+        unless `at` is after the last epoch start; legality and consistency failures propagate from Theory.extend.
         """
-        at = float(at)
+        at = _finite(at)
         last = self.epochs[-1]
         if at <= last.start:
             raise OutOfOrderTimeError(
@@ -120,8 +129,7 @@ class Timeline:
             raise BeforeExperimentError(
                 f"time {t} precedes the first epoch at {self.start}"
             )
-        starts = [epoch.start for epoch in self.epochs]
-        return self.epochs[bisect_right(starts, t) - 1]
+        return self.epochs[bisect_right(self.epochs, t, key=attrgetter("start")) - 1]
 
     def theory_at(self, t: float) -> Theory:
         """The active interpretation for the epoch containing t."""
@@ -169,8 +177,8 @@ class Timeline:
         the past. Raises UnprovableRetroError when the interpretation active
         at `at` does not prove phi.
         """
-        at = float(at)
-        start, end = float(interval[0]), float(interval[1])
+        at = _finite(at)
+        start, end = _finite(interval[0]), _finite(interval[1])
         if not start < end:
             raise ValueError(f"empty interval [{start}, {end})")
         if end > at:

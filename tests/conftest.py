@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import nafl
+from nafl import classical
 
 SRC = str(Path(nafl.__file__).resolve().parents[1])
 
@@ -26,3 +27,12 @@ def run_python():
         return proc.stdout
 
     return run
+
+
+@pytest.fixture
+def entails_calls(monkeypatch):
+    """Every entailment search run during the test, as a list of argument tuples."""
+    calls = []
+    search = classical.entails
+    monkeypatch.setattr(classical, "entails", lambda *args: calls.append(args) or search(*args))
+    return calls

@@ -7,6 +7,8 @@ soundness check, 4 expectation mismatch.
 import io
 import types
 
+import pytest
+
 from nafl import cli
 
 GOOD_THEORY = """\
@@ -125,6 +127,18 @@ def test_run_expect_reject_at_an_occupied_time_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_run_non_finite_time_exits_1(tmp_path, capsys):
+    for value in ("nan", "inf"):
+        path = tmp_path / f"{value}.scn"
+        path.write_text(
+            MISMATCH_SCENARIO.replace("time t1 1", f"time t1 {value}"), encoding="utf-8"
+        )
+        assert run(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err
+        assert captured.out == ""
+
+
 def test_run_expectation_mismatch_exits_4(tmp_path, capsys):
     path = tmp_path / "mm.scn"
     path.write_text(MISMATCH_SCENARIO, encoding="utf-8")
@@ -183,6 +197,19 @@ def test_sim_preset_and_modes(capsys):
 def test_sim_bad_geometry_exits_1(capsys):
     assert run(["sim", "--photons", "10", "--wire-width", "0.9"]) == 1
     assert "wire width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bins", ["0", "1", "8", "-3"])
+def test_sim_unusable_bin_count_exits_1_before_simulating(bins, capsys):
+    assert run(["sim", "--photons", "20000", "--preset", "--bins", bins]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+def test_sim_ten_bins_reconstruct(capsys):
+    assert run(["sim", "--photons", "20000", "--preset", "--bins", "10"]) == 0
+    assert "dof=9" in capsys.readouterr().out
 
 
 def test_sim_too_few_samples_exits_2(capsys):
@@ -257,6 +284,14 @@ def test_repl_survives_rejections(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "rejected: illegal axiom" in out
     assert "true (classical model)" in out
+
+
+def test_repl_rejects_non_finite_times(monkeypatch, capsys):
+    feed(monkeypatch, "atom P\nadvance 1\nadvance nan\nadvance inf\nadvance 0.5\nquit\n")
+    assert run(["repl"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("rejected: time") == 2
+    assert "clock already at 1; cannot go back" in out
 
 
 def test_repl_handles_garbage(monkeypatch, capsys):

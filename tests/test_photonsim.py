@@ -24,7 +24,7 @@ import pytest
 from scipy import integrate, stats
 
 from nafl import photonsim
-from nafl.errors import TooFewSamplesError
+from nafl.errors import NaflError, TooFewSamplesError
 from nafl.photonsim import (
     CHUNK_SIZE,
     SimConfig,
@@ -389,3 +389,10 @@ def test_reconstruction_needs_enough_samples_per_bin():
     res = simulate(small(photons=2000, seed=4))
     with pytest.raises(TooFewSamplesError):
         reconstruct(res, bins=100)
+
+
+@pytest.mark.parametrize("bins", [-3, 0, 1, 8, 9, 19])
+def test_reconstruction_rejects_an_unusable_bin_count(bins):
+    res = simulate(calibration_preset(20_000, 4))
+    with pytest.raises(NaflError):
+        reconstruct(res, bins)

@@ -64,6 +64,9 @@ def test_parse_errors_carry_line_numbers():
         parse_scenario("scenario x\natom P\n")  # gloss is mandatory
     with pytest.raises(ScenarioParseError):
         parse_scenario("scenario x\ntime t0 zero\n")
+    for value in ("nan", "inf", "-inf", "1e999"):
+        with pytest.raises(ScenarioParseError, match="not finite"):
+            parse_scenario(MINIMAL.replace("time t1 1", f"time t1 {value}"))
     with pytest.raises(ScenarioParseError):
         parse_scenario("atom P \"p\"\n")  # missing the scenario line
     with pytest.raises(ScenarioParseError):

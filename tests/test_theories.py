@@ -166,6 +166,37 @@ def test_extend_rejects_illegal_delta():
         base.extend([pf("P | ~P")])
 
 
+def test_extend_equals_building_the_whole_theory():
+    base = Theory("QM", frozenset({"P", "Q", "R"}), (pf("Q -> P"),))
+    delta = (pf("R -> P"), pf("Q"))
+    grown = base.extend(delta)
+    assert grown == Theory("QM+R -> P+Q", base.vocabulary, base.axioms + delta)
+    assert grown.atom_status("P") is PropStatus.PROVABLE
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [
+        ["P | ~P"],                 # illegal: decided, over an undecided atom
+        ["P -> Q", "P | ~P"],       # legal, then illegal after it
+        ["Q", "~P"],                # legal in order, jointly inconsistent
+        ["Q", "Z"],                 # a stray atom outranks the legality check
+        ["P | ~P", "Z"],
+        ["Q", "~P", "P | ~P | Z"],
+    ],
+)
+def test_extend_fails_exactly_like_building_the_whole_theory(delta):
+    base = Theory("QM", frozenset({"P", "Q"}), (pf("Q -> P"),))
+    delta = tuple(pf(text) for text in delta)
+    name = f"QM+{'+'.join(str(d) for d in delta)}"
+    with pytest.raises(Exception) as by_extend:
+        base.extend(delta)
+    with pytest.raises(Exception) as by_constructor:
+        Theory(name, base.vocabulary, base.axioms + delta)
+    assert type(by_extend.value) is type(by_constructor.value)
+    assert str(by_extend.value) == str(by_constructor.value)
+
+
 def test_undecided_and_decided_atom_lists():
     theory = Theory("T", frozenset({"A", "Q"}), (pf("Q"),))
     assert theory.decided_atoms() == ("Q",)
@@ -301,3 +332,42 @@ def test_load_theory(tmp_path):
     theory, queries = load_theory(str(path))
     assert theory.name == "QM"
     assert len(queries) == 2
+
+
+# -- one decision per question ----------------------------------------------------
+
+
+def chain(length):
+    names = [f"A{i}" for i in range(length + 1)]
+    axioms = [pf(f"{a} -> {b}") for a, b in zip(names, names[1:])]
+    return Theory("chain", names, axioms)
+
+
+def test_a_second_classify_runs_no_search(entails_calls):
+    theory = chain(3)
+    phi = pf("A3 -> A0")
+    assert theory.classify(phi) is PropStatus.UNDECIDABLE
+    first = len(entails_calls)
+    assert first > 0
+    assert theory.classify(phi) is PropStatus.UNDECIDABLE
+    assert theory.classify(pf("A3 -> A0")) is PropStatus.UNDECIDABLE
+    assert theory.is_legal(phi)  # legal because undecided: no further search
+    assert len(entails_calls) == first
+
+
+def test_atom_status_and_classify_share_one_memo(entails_calls):
+    theory = chain(2)
+    assert theory.atom_status("A1") is PropStatus.UNDECIDABLE
+    searched = len(entails_calls)
+    assert theory.classify(pf("A1")) is PropStatus.UNDECIDABLE
+    assert len(entails_calls) == searched
+
+
+def test_extend_checks_only_the_delta(entails_calls):
+    costs = []
+    for length in (2, 12):
+        theory = chain(length)
+        before = len(entails_calls)
+        theory.extend([pf("A0")])
+        costs.append(len(entails_calls) - before)
+    assert costs[0] == costs[1] > 0

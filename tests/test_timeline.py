@@ -9,6 +9,7 @@ from nafl.errors import (
     IllegalAxiomError,
     IllegalPropositionError,
     OutOfOrderTimeError,
+    TimelineError,
     UnknownAtomError,
     UnprovableRetroError,
 )
@@ -62,6 +63,21 @@ def test_declare_is_persistent():
     assert len(second.epochs) == 2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_times_must_be_finite(bad):
+    with pytest.raises(TimelineError):
+        Timeline.begin(base(), bad)
+    tl = two_epochs()
+    with pytest.raises(TimelineError):
+        tl.declare(bad, [pf("P")])
+    with pytest.raises(TimelineError):
+        tl.retro_assert(bad, (0.0, 1.0), pf("P"))
+    with pytest.raises(TimelineError):
+        tl.retro_assert(3.0, (bad, 1.0), pf("P"))
+    with pytest.raises(TimelineError):
+        tl.retro_assert(3.0, (0.0, bad), pf("P"))
+
+
 def test_time_before_the_experiment():
     tl = two_epochs()
     with pytest.raises(BeforeExperimentError):
@@ -77,6 +93,18 @@ def test_truth_follows_declarations():
     assert tl.truth_at(2.0, pf("P")) is TruthValue.TRUE
     assert tl.truth_at(2.0, pf("~P")) is TruthValue.FALSE
     assert tl.truth_at(3.0, pf("P & Q")) is TruthValue.TRUE
+
+
+def test_truth_decides_each_formula_once(entails_calls):
+    tl, fresh = two_epochs(), base()
+    entails_calls.clear()
+    fresh.classify(pf("P -> Q"))
+    one_decision = len(entails_calls)
+    entails_calls.clear()
+    assert tl.truth_at(0.0, pf("P -> Q")) is TruthValue.NEITHER
+    assert len(entails_calls) == one_decision
+    assert tl.truth_at(1.0, pf("P -> Q")) is TruthValue.NEITHER
+    assert len(entails_calls) == one_decision
 
 
 def test_truth_rejects_illegal_formulas():
