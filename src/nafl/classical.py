@@ -1,8 +1,11 @@
 """Classical consequence over finite vocabularies.
 
 One exact decision path: a backtracking satisfiability search with partial
-evaluation. The tests cross-check it against exhaustive valuation
-enumeration, which they keep as their oracle.
+evaluation. ``find_model`` is its one entry point and returns the model it
+finds, a partial assignment under which every formula simplifies to true, so
+any completion of it is a model too. ``is_satisfiable`` and ``entails`` are
+one-line wrappers over it. The tests cross-check the search against
+exhaustive valuation enumeration, which they keep as their oracle.
 """
 
 from __future__ import annotations
@@ -128,35 +131,41 @@ def _first_atom(formula: Formula) -> str:
     return node.name
 
 
-def _search(pending: list[Formula], assignment: dict[str, bool]) -> bool:
+def _search(pending: list[Formula], assignment: dict[str, bool]) -> dict[str, bool] | None:
     residual: list[Formula] = []
     for formula in pending:
         value = _simplify(formula, assignment)
         if value is False:
-            return False
+            return None
         if value is not True:
             residual.append(value)
     if not residual:
-        return True
+        return dict(assignment)
     atom = _first_atom(residual[0])
     for choice in (True, False):
         assignment[atom] = choice
-        if _search(residual, assignment):
-            del assignment[atom]
-            return True
+        model = _search(residual, assignment)
         del assignment[atom]
-    return False
+        if model is not None:
+            return model
+    return None
+
+
+def find_model(formulas: Iterable[Formula]) -> dict[str, bool] | None:
+    """A partial assignment making every formula true, or None if none exists.
+
+    Atoms the assignment leaves out may take either value.
+    """
+    formulas = list(formulas)
+    _check_vocab(formulas)
+    return _search(formulas, {})
 
 
 def is_satisfiable(axioms: Sequence[Formula]) -> bool:
     """True iff some total valuation satisfies every axiom."""
-    axioms = list(axioms)
-    _check_vocab(axioms)
-    return _search(axioms, {})
+    return find_model(axioms) is not None
 
 
 def entails(axioms: Sequence[Formula], phi: Formula) -> bool:
     """True iff every valuation satisfying the axioms satisfies phi."""
-    axioms = list(axioms)
-    _check_vocab(axioms + [phi])
-    return not _search(axioms + [Not(phi)], {})
+    return find_model([*axioms, Not(phi)]) is None

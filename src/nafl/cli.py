@@ -85,7 +85,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"  {atom}: {theory.atom_status(atom).value}")
     for query in queries:
         rendered = format_formula(query)
-        if theory.is_legal(query):
+        try:
+            legal = theory.is_legal(query)
+        except UnknownAtomError as exc:
+            return _fail(str(exc), EXIT_BAD_INPUT)
+        if legal:
             print(f"query {rendered}: legal, {theory.classify(query).value}")
         else:
             print(f"query {rendered}: illegal in the theory syntax")
@@ -181,6 +185,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
         settings["grid"] = False
     settings.setdefault("photons", 100_000)
     settings.setdefault("seed", 0)
+    if args.workers < 1:
+        return _fail("--workers must be at least 1", EXIT_BAD_INPUT)
     try:
         cfg = photonsim.SimConfig(**settings)
         photonsim._wire_windows(cfg, args.bins)

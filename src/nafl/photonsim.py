@@ -50,8 +50,6 @@ CHUNK_SIZE = 32768
 
 DEFAULT_BINS = 100
 
-_MASK64 = (1 << 64) - 1
-
 # Relative tolerance and underflow guard of the chi-square tail expansions.
 _EPS = 1e-16
 _TINY = 1e-300
@@ -72,6 +70,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.photons < 1:
             raise ValueError("photons must be at least 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64); got {self.seed}")
+        if not math.isfinite(self.period):
+            raise ValueError(f"period must be finite; got {self.period}")
         if self.period <= 0:
             raise ValueError("period must be positive")
         if not 0 < self.wire_width < self.period / 2:
@@ -255,7 +257,7 @@ def _run_chunk(
     cfg: SimConfig, index: int, count: int, cdf: np.ndarray, xs: np.ndarray,
     edges: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    seed_seq = np.random.SeedSequence(entropy=cfg.seed & _MASK64, spawn_key=(index,))
+    seed_seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
     rng = np.random.default_rng(seed_seq)
     draws = rng.random((count, 2))
     x = np.interp(draws[:, 1], cdf, xs)

@@ -27,6 +27,21 @@ A Theory in hand is therefore already validated, so ``extend`` checks only
 the delta, each formula against the theory grown so far, and never the
 axioms it inherits. A Theory decides each formula at most once: statuses
 are memoized per Theory, and the layered rule reads the same memo.
+
+Witnesses. A Theory keeps the models its searches have found, each
+completed with False for the atoms the search left open. ``classify``
+evaluates a formula on them first: if two witnesses disagree, the formula is
+undecidable with no search. Otherwise one search looks for a model on the
+other side; it either decides the formula or becomes a new witness. So each
+formula costs at most one search.
+
+Warm start. A theory grown by ``extend`` (or by the constructor, one axiom
+at a time) inherits its prefix's provable and refutable verdicts, which more
+axioms cannot undo, and the prefix's witnesses that satisfy the new axiom.
+The empty theory's witness is the all-False valuation. Checking a legal axiom
+has classified it, so some witness satisfies it unless it is refutable: if
+none survives, the grown theory is inconsistent, and no consistency search
+is ever needed.
 """
 
 from __future__ import annotations
@@ -68,12 +83,14 @@ class Theory:
     Construction validates everything: vocabulary size, axiom atoms,
     incremental axiom legality, and consistency. A Theory in hand is
     therefore always consistent, and every status it decides is memoized.
+    It always holds at least one witness, a total model of its axioms.
     """
 
     name: str
     vocabulary: frozenset[str]
     axioms: tuple[Formula, ...] = ()
     _status: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _witnesses: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __init__(self, name: str, vocabulary: Iterable[str], axioms: Iterable[Formula] = ()):
         vocabulary = frozenset(vocabulary)
@@ -83,21 +100,28 @@ class Theory:
                 f"the supported bound is {classical.VOCAB_LIMIT}"
             )
         # The empty prefix is a theory of its own: its memo holds statuses
-        # against no axioms, which must not outlive the validation.
-        grown = Theory._trusted(name, vocabulary, ())._admit(name, tuple(axioms))
-        vars(self).update(vars(grown))
+        # against no axioms, which must not outlive the validation. With no
+        # axioms, the all-False valuation is a model.
+        empty = Theory._trusted(name, vocabulary, (), {}, [dict.fromkeys(vocabulary, False)])
+        vars(self).update(vars(empty._admit(name, tuple(axioms))))
 
     @classmethod
-    def _trusted(cls, name: str, vocabulary: frozenset[str], axioms: tuple) -> "Theory":
-        """A theory whose axioms are already known to be valid."""
+    def _trusted(
+        cls, name: str, vocabulary: frozenset[str], axioms: tuple, status: dict, witnesses: list
+    ) -> "Theory":
+        """A theory whose axioms are already known to be valid, with its
+        known verdicts and at least one total model."""
         theory = object.__new__(cls)
-        vars(theory).update(name=name, vocabulary=vocabulary, axioms=axioms, _status={})
+        vars(theory).update(
+            name=name, vocabulary=vocabulary, axioms=axioms, _status=status, _witnesses=witnesses
+        )
         return theory
 
     def _admit(self, name: str, delta: tuple[Formula, ...]) -> "Theory":
         """Theory `name`: self's axioms plus delta, each legal in its prefix.
 
-        Self is already validated, so only the delta is checked.
+        Self is already validated, so only the delta is checked. Each prefix
+        starts warm from the one before it.
         """
         for axiom in delta:
             stray = atoms_of(axiom) - self.vocabulary
@@ -115,11 +139,20 @@ class Theory:
                     "it contains an atom they leave undecided, so it is "
                     "outside the theory syntax",
                 )
-            theory = Theory._trusted(name, self.vocabulary, theory.axioms + (axiom,))
-        if not classical.is_satisfiable(theory.axioms):
-            raise InconsistentTheoryError(
-                f"axioms of theory {name!r} have no model"
-            )
+            axioms = theory.axioms + (axiom,)
+            witnesses = [w for w in theory._witnesses if classical.eval_formula(axiom, w)]
+            if not witnesses:
+                # Legal, yet false in every witness: is_legal found it
+                # refutable, so the grown axioms have no model. Every later
+                # axiom would be legal in them, so failing now reports what
+                # checking the whole delta would.
+                raise InconsistentTheoryError(f"axioms of theory {name!r} have no model")
+            decided = {
+                phi: status
+                for phi, status in theory._status.items()
+                if status is not PropStatus.UNDECIDABLE
+            }
+            theory = Theory._trusted(name, self.vocabulary, axioms, decided, witnesses)
         return theory
 
     # -- classification -----------------------------------------------------
@@ -142,14 +175,20 @@ class Theory:
                     f"formula {phi} uses atom(s) {', '.join(sorted(stray))} "
                     f"outside the vocabulary of theory {self.name!r}"
                 )
-            if classical.entails(self.axioms, phi):
-                status = PropStatus.PROVABLE
-            elif classical.entails(self.axioms, Not(phi)):
-                status = PropStatus.REFUTABLE
-            else:
-                status = PropStatus.UNDECIDABLE
+            status = self._decide(phi)
             self._status[phi] = status
         return status
+
+    def _decide(self, phi: Formula) -> PropStatus:
+        """The status of phi from the witnesses and at most one search."""
+        holds = classical.eval_formula(phi, self._witnesses[0])
+        if any(classical.eval_formula(phi, w) is not holds for w in self._witnesses[1:]):
+            return PropStatus.UNDECIDABLE
+        model = classical.find_model(self.axioms + (Not(phi) if holds else phi,))
+        if model is None:
+            return PropStatus.PROVABLE if holds else PropStatus.REFUTABLE
+        self._witnesses.append({name: model.get(name, False) for name in self.vocabulary})
+        return PropStatus.UNDECIDABLE
 
     def is_legal(self, phi: Formula) -> bool:
         """Membership in this theory's theory syntax (layered rule)."""

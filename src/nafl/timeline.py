@@ -125,6 +125,7 @@ class Timeline:
         return self.epochs[0].start
 
     def epoch_at(self, t: float) -> Epoch:
+        _finite(t)
         if t < self.start:
             raise BeforeExperimentError(
                 f"time {t} precedes the first epoch at {self.start}"

@@ -30,9 +30,9 @@ def run_python():
 
 
 @pytest.fixture
-def entails_calls(monkeypatch):
-    """Every entailment search run during the test, as a list of argument tuples."""
+def search_calls(monkeypatch):
+    """Every model search run during the test, as a list of argument tuples."""
     calls = []
-    search = classical.entails
-    monkeypatch.setattr(classical, "entails", lambda *args: calls.append(args) or search(*args))
+    search = classical.find_model
+    monkeypatch.setattr(classical, "find_model", lambda *args: calls.append(args) or search(*args))
     return calls

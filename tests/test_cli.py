@@ -69,6 +69,15 @@ def test_check_illegal_axiom_exits_2(tmp_path, capsys):
     assert "illegal axiom" in capsys.readouterr().err
 
 
+def test_check_query_outside_the_vocabulary_exits_1(tmp_path, capsys):
+    path = tmp_path / "stray.thy"
+    path.write_text("theory T\natoms A\naxiom A\nquery Z\n", encoding="utf-8")
+    assert run(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Z" in err
+
+
 def test_check_inconsistency_exits_2(tmp_path, capsys):
     path = tmp_path / "inc.thy"
     path.write_text("theory T\natoms A\naxiom A\naxiom ~A\n", encoding="utf-8")
@@ -192,6 +201,20 @@ def test_sim_preset_and_modes(capsys):
     out = capsys.readouterr().out
     assert "wire_width=0.066" in out
     assert "mode=classical" in out
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_sim_workers_below_one_exit_1_before_simulating(workers, capsys):
+    assert run(["sim", "--photons", "2000", "--workers", workers]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", str(2**64)], ["--period", "inf"]])
+def test_sim_out_of_range_config_exits_1(flags, capsys):
+    assert run(["sim", "--photons", "2000", *flags]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_sim_bad_geometry_exits_1(capsys):

@@ -73,6 +73,18 @@ def test_config_validation():
     assert small(envelope="gaussian", envelope_width=3.0).extent == 10.0
 
 
+@pytest.mark.parametrize(
+    "overrides", [dict(seed=-1), dict(seed=2**64), dict(period=math.inf), dict(period=math.nan)]
+)
+def test_config_rejects_out_of_range_seeds_and_periods(overrides):
+    with pytest.raises(ValueError):
+        small(**overrides)
+
+
+def test_the_largest_seed_simulates():
+    assert simulate(small(photons=100, seed=2**64 - 1)).x.shape == (100,)
+
+
 def test_calibration_preset_blocks_six_point_six_percent_classically():
     cfg = calibration_preset(photons=10, seed=0)
     assert cfg.wire_width == 0.066

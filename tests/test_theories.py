@@ -5,17 +5,23 @@ undecided there, or when every atom in it is already decided. Truth and
 falsity track provability and refutability, never a valuation.
 """
 
-import pytest
+from unittest.mock import patch
 
+import pytest
+from hypothesis import given, settings, strategies as st
+from test_classical import entails_by_enumeration
+
+from nafl import classical
 from nafl.errors import (
     BoundExceededError,
     IllegalAxiomError,
     InconsistentTheoryError,
+    NaflError,
     ParseError,
     UnknownAtomError,
     VocabularyError,
 )
-from nafl.syntax import parse_formula as pf
+from nafl.syntax import And, Atom, Iff, Implies, Not, Or, atoms_of, parse_formula as pf
 from nafl.theories import PropStatus, Theory, load_theory, parse_theory
 
 
@@ -264,25 +270,25 @@ query R
 """
 
 
-# Counts entailment searches while theories check formulas that are decided
+# Counts model searches while theories check formulas that are decided
 # but mix decided atoms with one undecided atom, both in construction (the
 # axiom is rejected) and in is_legal. The layered rule stops at the first
 # undecided atom, so the count depends on the order the atoms are visited.
-ENTAILS_PROBE = """
+SEARCH_PROBE = """
 from nafl import classical
 from nafl.errors import IllegalAxiomError
 from nafl.syntax import parse_formula
 from nafl.theories import Theory
 
 calls = 0
-entails = classical.entails
+find_model = classical.find_model
 
 def counted(*args):
     global calls
     calls += 1
-    return entails(*args)
+    return find_model(*args)
 
-classical.entails = counted
+classical.find_model = counted
 decided = [parse_formula(name) for name in "ABCDEF"]
 for name in "GHIJKL":
     mixed = parse_formula(f"({name} | ~{name}) | (A & B & C & D & E & F)")
@@ -297,9 +303,10 @@ print(calls)
 
 def test_entailment_count_does_not_depend_on_the_hash_seed(run_python):
     counts = {
-        run_python(ENTAILS_PROBE, PYTHONHASHSEED=seed) for seed in ("0", "1", "2")
+        run_python(SEARCH_PROBE, PYTHONHASHSEED=seed) for seed in ("0", "1", "2")
     }
     assert len(counts) == 1
+    assert int(counts.pop()) > 0
 
 
 def test_parse_theory():
@@ -343,31 +350,130 @@ def chain(length):
     return Theory("chain", names, axioms)
 
 
-def test_a_second_classify_runs_no_search(entails_calls):
+def test_a_second_classify_runs_no_search(search_calls):
     theory = chain(3)
     phi = pf("A3 -> A0")
     assert theory.classify(phi) is PropStatus.UNDECIDABLE
-    first = len(entails_calls)
+    first = len(search_calls)
     assert first > 0
     assert theory.classify(phi) is PropStatus.UNDECIDABLE
     assert theory.classify(pf("A3 -> A0")) is PropStatus.UNDECIDABLE
     assert theory.is_legal(phi)  # legal because undecided: no further search
-    assert len(entails_calls) == first
+    assert len(search_calls) == first
 
 
-def test_atom_status_and_classify_share_one_memo(entails_calls):
+def test_atom_status_and_classify_share_one_memo(search_calls):
     theory = chain(2)
     assert theory.atom_status("A1") is PropStatus.UNDECIDABLE
-    searched = len(entails_calls)
+    searched = len(search_calls)
     assert theory.classify(pf("A1")) is PropStatus.UNDECIDABLE
-    assert len(entails_calls) == searched
+    assert len(search_calls) == searched
 
 
-def test_extend_checks_only_the_delta(entails_calls):
+def test_extend_checks_only_the_delta(search_calls):
     costs = []
     for length in (2, 12):
         theory = chain(length)
-        before = len(entails_calls)
+        before = len(search_calls)
         theory.extend([pf("A0")])
-        costs.append(len(entails_calls) - before)
+        costs.append(len(search_calls) - before)
     assert costs[0] == costs[1] > 0
+
+
+def test_a_formula_the_witnesses_split_runs_no_search(search_calls):
+    theory = chain(3)
+    assert theory.classify(pf("A0")) is PropStatus.UNDECIDABLE
+    # the witnesses now disagree on A0, so on anything equivalent to it
+    search_calls.clear()
+    assert theory.classify(pf("A0 & (A3 | ~A3)")) is PropStatus.UNDECIDABLE
+    assert theory.classify(pf("~~A0")) is PropStatus.UNDECIDABLE
+    assert search_calls == []
+
+
+@pytest.mark.parametrize(
+    "text", ["A0", "A4", "~A2", "A0 -> A4", "A0 & ~A4", "A2 <-> A3", "A4 -> A0", "A1 | ~A1"]
+)
+def test_a_fresh_formula_costs_at_most_one_search(search_calls, text):
+    theory = chain(4)
+    search_calls.clear()
+    theory.classify(pf(text))
+    assert len(search_calls) <= 1
+
+
+# -- inheritance through extend agrees with a fresh theory and the oracle --------
+
+NAMES = [f"A{i}" for i in range(8)]
+
+
+def _formulas(names, max_leaves):
+    return st.recursive(
+        st.sampled_from(names).map(Atom),
+        lambda inner: st.one_of(
+            inner.map(Not),
+            *(st.tuples(inner, inner).map(lambda p, op=op: op(*p)) for op in (And, Or, Implies, Iff)),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+@st.composite
+def extend_chains(draw):
+    names = NAMES[: draw(st.integers(1, 8))]
+    # small axioms, so that more of them are legal and chains grow longer
+    steps = draw(st.lists(st.lists(_formulas(names, 3), max_size=3), min_size=1, max_size=4))
+    queries = draw(st.lists(_formulas(names, 5), min_size=1, max_size=8))
+    return names, steps, queries
+
+
+def _oracle_status(axioms, phi):
+    if entails_by_enumeration(axioms, phi):
+        return PropStatus.PROVABLE
+    if entails_by_enumeration(axioms, Not(phi)):
+        return PropStatus.REFUTABLE
+    return PropStatus.UNDECIDABLE
+
+
+def _oracle_legal(axioms, phi):
+    return _oracle_status(axioms, phi) is PropStatus.UNDECIDABLE or all(
+        _oracle_status(axioms, Atom(name)) is not PropStatus.UNDECIDABLE
+        for name in atoms_of(phi)
+    )
+
+
+def _built(name, names, axioms):
+    try:
+        return Theory(name, names, axioms)
+    except NaflError as exc:
+        return exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(extend_chains())
+def test_extend_chains_agree_with_fresh_theories_and_the_oracle(case):
+    names, steps, queries = case
+    grown = _built("T", names, steps[0])
+    for delta in steps[1:] + [None]:
+        if isinstance(grown, NaflError):
+            return
+        fresh = Theory(grown.name, names, grown.axioms)
+        for phi in queries:
+            status = _oracle_status(grown.axioms, phi)
+            legal = _oracle_legal(grown.axioms, phi)
+            with patch.object(classical, "find_model", wraps=classical.find_model) as search:
+                assert grown.classify(phi) is status
+            assert search.call_count <= 1
+            assert fresh.classify(phi) is status
+            assert grown.is_legal(phi) is fresh.is_legal(phi) is legal
+        for theory in (grown, fresh):
+            for witness in theory._witnesses:
+                assert set(witness) == set(names)
+                assert all(classical.eval_formula(axiom, witness) for axiom in theory.axioms)
+        if delta is None:
+            return
+        try:
+            grown = grown.extend(delta)
+        except NaflError as exc:
+            name = f"{grown.name}+{'+'.join(map(str, delta))}"
+            expected = _built(name, names, grown.axioms + tuple(delta))
+            assert type(exc) is type(expected) and str(exc) == str(expected)
+            return

@@ -78,6 +78,15 @@ def test_times_must_be_finite(bad):
         tl.retro_assert(3.0, (0.0, bad), pf("P"))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_query_times_must_be_finite(bad):
+    tl = two_epochs()
+    with pytest.raises(TimelineError):
+        tl.theory_at(bad)
+    with pytest.raises(TimelineError):
+        tl.truth_at(bad, pf("P"))
+
+
 def test_time_before_the_experiment():
     tl = two_epochs()
     with pytest.raises(BeforeExperimentError):
@@ -95,16 +104,16 @@ def test_truth_follows_declarations():
     assert tl.truth_at(3.0, pf("P & Q")) is TruthValue.TRUE
 
 
-def test_truth_decides_each_formula_once(entails_calls):
+def test_truth_decides_each_formula_once(search_calls):
     tl, fresh = two_epochs(), base()
-    entails_calls.clear()
+    search_calls.clear()
     fresh.classify(pf("P -> Q"))
-    one_decision = len(entails_calls)
-    entails_calls.clear()
+    one_decision = len(search_calls)
+    search_calls.clear()
     assert tl.truth_at(0.0, pf("P -> Q")) is TruthValue.NEITHER
-    assert len(entails_calls) == one_decision
+    assert len(search_calls) == one_decision
     assert tl.truth_at(1.0, pf("P -> Q")) is TruthValue.NEITHER
-    assert len(entails_calls) == one_decision
+    assert len(search_calls) == one_decision
 
 
 def test_truth_rejects_illegal_formulas():
