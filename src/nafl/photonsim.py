@@ -16,10 +16,18 @@ what makes the dark-grid observation quantitatively sharp.
 
 Each photon record carries a metalogical slit label, sampled as a fair coin
 independent of the arrival coordinate, an arrival coordinate, and a blocked
-flag. Sampling is inverse-transform from a precomputed cumulative table;
-photons are processed in fixed-size chunks whose random streams depend only
-on (seed, chunk index), so results are bit-identical whatever the worker
-count.
+flag. Photons are processed in fixed-size chunks whose random streams depend
+only on (seed, chunk index), and each chunk fills its own slice of the
+result, so results are bit-identical whatever the worker count. Within a
+chunk, sampling is inverse-transform from a precomputed cumulative table:
+sort the chunk's uniforms, interpolate the sorted array in the table, find
+the wire edges among the sorted coordinates, and scatter the coordinates and
+blocked flags back to the uniforms' original order. Interpolation and the
+edge test are elementwise, so sorting changes speed only, never a value.
+
+Configurations are bounded: at most MAX_HALF_EXTENT periods each side, and a
+gaussian envelope no narrower than the MAX_PANELS quadrature panels across
+the window allow.
 
 Density masses are exact where a closed form exists (the flat envelope) and
 composite Gauss-Legendre quadrature otherwise (the gaussian envelope).
@@ -48,7 +56,13 @@ TABLE_KNOTS = 65537
 # Photons per deterministic chunk (independent of worker count).
 CHUNK_SIZE = 32768
 
-DEFAULT_BINS = 100
+# Widest detection window, in periods each side of center: the cumulative
+# table keeps more than 32 knots per period, and the per-wire loops stay short.
+MAX_HALF_EXTENT = 1000
+
+# Most Gauss-Legendre panels the gaussian norm may span, i.e. the bound on
+# 2 * extent / min(period / 2, envelope_width); its nodes take about 10 MB.
+MAX_PANELS = 1 << 16
 
 # Relative tolerance and underflow guard of the chi-square tail expansions.
 _EPS = 1e-16
@@ -81,19 +95,37 @@ class SimConfig:
                 f"wire width must lie in (0, period/2); got {self.wire_width} "
                 f"with period {self.period}"
             )
-        if self.half_extent < 1:
-            raise ValueError("half_extent must be at least 1 period")
+        if not 1 <= self.half_extent <= MAX_HALF_EXTENT:
+            raise ValueError(
+                f"half_extent must lie in [1, {MAX_HALF_EXTENT}] periods; "
+                f"got {self.half_extent}"
+            )
+        if not math.isfinite(2.0 * self.extent):
+            raise ValueError(
+                f"the window of {self.half_extent} periods of {self.period:g} "
+                "is too wide to represent"
+            )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}; got {self.mode!r}")
         if self.envelope not in ENVELOPES:
             raise ValueError(
                 f"envelope must be one of {ENVELOPES}; got {self.envelope!r}"
             )
+        shape = _shape(self)
         if self.envelope == "gaussian":
-            if self.envelope_width is None or self.envelope_width <= 0:
+            if self.envelope_width is None or not self.envelope_width > 0:
                 raise ValueError("gaussian envelope needs a positive envelope_width")
+            panels = 2.0 * self.extent / shape.panel
+            if not panels <= MAX_PANELS:
+                raise ValueError(
+                    f"envelope_width {self.envelope_width:g} needs {panels:.3g} "
+                    f"quadrature panels across the window, more than {MAX_PANELS}; "
+                    f"it must be at least {2.0 * self.extent / MAX_PANELS:.3g}"
+                )
         elif self.envelope_width is not None:
             raise ValueError("envelope_width only applies to the gaussian envelope")
+        for density in ("quantum", "classical"):
+            _norm(density, shape)
 
     @property
     def extent(self) -> float:
@@ -133,6 +165,11 @@ class _Shape(NamedTuple):
     @property
     def extent(self) -> float:
         return self.half_extent * self.period
+
+    @property
+    def panel(self) -> float:
+        """Widest Gauss-Legendre panel of a gaussian-envelope quadrature."""
+        return min(self.period / 2.0, float(self.envelope_width))  # type: ignore[arg-type]
 
 
 def _shape(cfg: SimConfig) -> _Shape:
@@ -176,9 +213,7 @@ def _masses(mode: str, edges: np.ndarray, shape: _Shape) -> np.ndarray:
     nodes, weights = _gauss_legendre_rule()
     lo, hi = edges[:-1], edges[1:]
     widest = float(np.max(hi - lo))
-    width = float(shape.envelope_width)  # type: ignore[arg-type]
-    panel = min(shape.period / 2.0, width)
-    panels = max(1, math.ceil(widest / panel))
+    panels = max(1, math.ceil(widest / shape.panel))
     cuts = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, panels + 1)
     half = 0.5 * np.diff(cuts, axis=1)
     mid = 0.5 * (cuts[:, 1:] + cuts[:, :-1])
@@ -188,7 +223,15 @@ def _masses(mode: str, edges: np.ndarray, shape: _Shape) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _norm(mode: str, shape: _Shape) -> float:
-    return float(_masses(mode, np.array([-shape.extent, shape.extent]), shape)[0])
+    """Mass of the mode's density over the window; ValueError unless it and
+    its reciprocal are positive and finite."""
+    norm = float(_masses(mode, np.array([-shape.extent, shape.extent]), shape)[0])
+    if not (0.0 < norm < math.inf and 1.0 / norm < math.inf):
+        raise ValueError(
+            f"the {mode} density's mass over the window is {norm!r}, which "
+            "cannot be normalized; rescale period and widths"
+        )
+    return norm
 
 
 def _pdf(mode: str, x, shape: _Shape):
@@ -246,41 +289,43 @@ def _cumulative_table(mode: str, shape: _Shape) -> tuple[np.ndarray, np.ndarray]
     return cdf, xs
 
 
-def _chunk_bounds(photons: int) -> list[tuple[int, int]]:
-    return [
-        (start, min(start + CHUNK_SIZE, photons))
-        for start in range(0, photons, CHUNK_SIZE)
-    ]
-
-
 def _run_chunk(
-    cfg: SimConfig, index: int, count: int, cdf: np.ndarray, xs: np.ndarray,
-    edges: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    cfg: SimConfig, index: int, cdf: np.ndarray, xs: np.ndarray,
+    edges: np.ndarray | None, slits: np.ndarray, x: np.ndarray, blocked: np.ndarray,
+) -> None:
+    """Fill one chunk's slices of the output arrays from its own stream.
+
+    The arrival uniforms are sorted first, so np.interp walks its table in
+    order instead of missing the cache on every photon, and the wire edges
+    are searched in the sorted coordinates rather than each photon in the
+    edges. Both steps are elementwise, so scattering their results back
+    through the permutation gives exactly the arrays the unsorted uniforms
+    would.
+    """
     seed_seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
-    rng = np.random.default_rng(seed_seq)
-    draws = rng.random((count, 2))
-    x = np.interp(draws[:, 1], cdf, xs)
+    draws = np.random.default_rng(seed_seq).random((x.size, 2))
+    uniforms = draws[:, 1]
+    order = np.argsort(uniforms)
+    x_sorted = np.interp(uniforms[order], cdf, xs)
+    x[order] = x_sorted
     if cfg.mode == "single-slit":
-        slits = np.full(count, "U", dtype="<U1")
+        slits[:] = "U"
     else:
-        slits = np.where(draws[:, 0] < 0.5, "U", "L")
-    if edges is None:
-        blocked = np.zeros(count, dtype=bool)
-    else:
-        blocked = (np.searchsorted(edges, x, side="right") % 2) == 1
-    return slits, x, blocked
+        slits[:] = np.where(draws[:, 0] < 0.5, "U", "L")
+    if edges is not None:
+        # A photon is blocked when an odd number of edges lie at or below it.
+        # On sorted coordinates that splits the chunk into runs between the
+        # edges' insertion points, alternately free and blocked.
+        runs = np.diff(np.searchsorted(x_sorted, edges), prepend=0, append=x.size)
+        blocked[order] = np.repeat(np.arange(runs.size) % 2 == 1, runs)
 
 
 @dataclass(frozen=True, eq=False)
 class SimResult:
     config: SimConfig
-    seed: int
     slits: np.ndarray          # '<U1' labels, one per photon
     x: np.ndarray              # arrival coordinates
     blocked: np.ndarray        # bool, photon absorbed by a wire
-    histogram_edges: np.ndarray
-    histogram_counts: np.ndarray
 
     @property
     def photons(self) -> int:
@@ -303,12 +348,9 @@ class SimResult:
             return NotImplemented
         return (
             self.config == other.config
-            and self.seed == other.seed
             and np.array_equal(self.slits, other.slits)
             and np.array_equal(self.x, other.x)
             and np.array_equal(self.blocked, other.blocked)
-            and np.array_equal(self.histogram_edges, other.histogram_edges)
-            and np.array_equal(self.histogram_counts, other.histogram_counts)
         )
 
 
@@ -317,7 +359,8 @@ def simulate(cfg: SimConfig, workers: int = 1) -> SimResult:
 
     ``workers`` sets thread-pool width only. Photons are partitioned into
     fixed 32768-photon chunks whose streams are derived from (seed, chunk
-    index), so any worker count yields the identical result.
+    index), and each chunk writes its own slice of the result, so any worker
+    count yields the identical result.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -325,25 +368,22 @@ def simulate(cfg: SimConfig, workers: int = 1) -> SimResult:
     edges: np.ndarray | None = None
     if cfg.grid:
         edges = np.asarray([e for interval in make_grid(cfg) for e in interval])
-    bounds = _chunk_bounds(cfg.photons)
+    slits = np.empty(cfg.photons, dtype="<U1")
+    x = np.empty(cfg.photons)
+    blocked = np.zeros(cfg.photons, dtype=bool)
 
-    def job(args: tuple[int, tuple[int, int]]):
-        index, (start, stop) = args
-        return _run_chunk(cfg, index, stop - start, cdf, xs, edges)
+    def job(index: int) -> None:
+        chunk = slice(index * CHUNK_SIZE, (index + 1) * CHUNK_SIZE)
+        _run_chunk(cfg, index, cdf, xs, edges, slits[chunk], x[chunk], blocked[chunk])
 
+    chunks = range(math.ceil(cfg.photons / CHUNK_SIZE))
     if workers == 1:
-        pieces = [job(item) for item in enumerate(bounds)]
+        for index in chunks:
+            job(index)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(job, enumerate(bounds)))
-
-    slits = np.concatenate([p[0] for p in pieces])
-    x = np.concatenate([p[1] for p in pieces])
-    blocked = np.concatenate([p[2] for p in pieces])
-    counts, hist_edges = np.histogram(
-        x[~blocked], bins=DEFAULT_BINS, range=(-cfg.extent, cfg.extent)
-    )
-    return SimResult(cfg, cfg.seed, slits, x, blocked, hist_edges, counts)
+            list(pool.map(job, chunks))
+    return SimResult(cfg, slits, x, blocked)
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,13 @@ Surface syntax (ASCII): ``~`` negation, ``&`` conjunction, ``|`` disjunction,
 tightest to loosest: ``~``, ``&``, ``|``, ``->``, ``<->``; parentheses
 override. Atom names match ``[A-Za-z_][A-Za-z0-9_]*``.
 
+A formula nests at most ``MAX_DEPTH`` (100) levels deep: every parenthesis
+pair, negation and binary operator around an atom is one level, so
+``((A))``, ``~~A`` and ``A & B & C`` are each two levels deep. Deeper text
+is a ParseError. The cap keeps the parser and every recursive pass over the
+tree (printer, normal form, evaluation, search) far inside Python's
+recursion limit.
+
 ``~~A`` stays structurally distinct from ``A``: double negation is simplified
 semantically, never by rewriting the tree.
 """
@@ -13,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ParseError, UnknownTokenError
 
@@ -89,8 +96,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -126,10 +132,18 @@ def _tokenize(text: str) -> Iterator[_Token]:
 # --------------------------------------------------------------------------
 
 
+# Deepest nesting the parser accepts; see the module docstring.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each production leaves its tree's depth in ``depth``."""
+
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.index = 0
+        self.depth = 0
+        self.open = 0  # parentheses, negations and arrows not yet closed
 
     @property
     def current(self) -> _Token:
@@ -147,6 +161,22 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {shown!r}", tok.line, tok.column)
         return self.advance()
 
+    def nest(self, depth: int, tok: _Token) -> int:
+        """One level below ``depth``, or ParseError past MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(
+                f"formula nests deeper than {MAX_DEPTH} levels", tok.line, tok.column
+            )
+        return depth + 1
+
+    def inner(self, tok: _Token, production) -> Formula:
+        """Recurse into ``production``; the open count bounds the stack."""
+        self.nest(self.open, tok)
+        self.open += 1
+        node = production()
+        self.open -= 1
+        return node
+
     def parse(self) -> Formula:
         formula = self.bicond()
         if self.current.kind != "eof":
@@ -157,43 +187,51 @@ class _Parser:
     def bicond(self) -> Formula:
         node = self.impl()
         while self.current.kind == "iff":
-            self.advance()
+            depth, tok = self.depth, self.advance()
             node = Iff(node, self.impl())
+            self.depth = self.nest(max(depth, self.depth), tok)
         return node
 
     def impl(self) -> Formula:
         node = self.disj()
         if self.current.kind == "implies":
-            self.advance()
-            node = Implies(node, self.impl())
+            depth, tok = self.depth, self.advance()
+            node = Implies(node, self.inner(tok, self.impl))
+            self.depth = self.nest(max(depth, self.depth), tok)
         return node
 
     def disj(self) -> Formula:
         node = self.conj()
         while self.current.kind == "|":
-            self.advance()
+            depth, tok = self.depth, self.advance()
             node = Or(node, self.conj())
+            self.depth = self.nest(max(depth, self.depth), tok)
         return node
 
     def conj(self) -> Formula:
         node = self.unary()
         while self.current.kind == "&":
-            self.advance()
+            depth, tok = self.depth, self.advance()
             node = And(node, self.unary())
+            self.depth = self.nest(max(depth, self.depth), tok)
         return node
 
     def unary(self) -> Formula:
         tok = self.current
         if tok.kind == "~":
             self.advance()
-            return Not(self.unary())
+            node = Not(self.inner(tok, self.unary))
+            self.depth = self.nest(self.depth, tok)
+            return node
         if tok.kind == "atom":
             self.advance()
+            self.depth = 0
             return Atom(tok.text)
         if tok.kind == "(":
             self.advance()
-            node = self.bicond()
+            node = self.inner(tok, self.bicond)
             self.expect(")")
+            self.depth = self.nest(self.depth, tok)
             return node
         shown = tok.text if tok.kind != "eof" else "end of input"
         raise ParseError(f"expected a formula, found {shown!r}", tok.line, tok.column)

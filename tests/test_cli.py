@@ -58,6 +58,13 @@ def test_check_parse_error_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_nesting_past_the_parser_cap_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.thy"
+    path.write_text("theory T\natoms A\naxiom " + "~" * 1200 + "A\n", encoding="utf-8")
+    assert run(["check", str(path)]) == 1
+    assert "error: formula nests deeper than" in capsys.readouterr().err
+
+
 def test_check_missing_file_exits_1(tmp_path, capsys):
     assert run(["check", str(tmp_path / "nope.thy")]) == 1
 
@@ -215,6 +222,21 @@ def test_sim_workers_below_one_exit_1_before_simulating(workers, capsys):
 def test_sim_out_of_range_config_exits_1(flags, capsys):
     assert run(["sim", "--photons", "2000", *flags]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--envelope", "gaussian", "--envelope-width", "1e-9"],
+        ["--envelope", "gaussian", "--envelope-width", "1e-6"],
+        ["--half-extent", "1000000000"],
+    ],
+)
+def test_sim_work_beyond_the_bounds_exits_1_before_simulating(flags, capsys):
+    assert run(["sim", "--photons", "2000", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 def test_sim_bad_geometry_exits_1(capsys):

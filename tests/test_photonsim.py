@@ -27,6 +27,9 @@ from nafl import photonsim
 from nafl.errors import NaflError, TooFewSamplesError
 from nafl.photonsim import (
     CHUNK_SIZE,
+    MAX_HALF_EXTENT,
+    MAX_PANELS,
+    MODES,
     SimConfig,
     analytic_blocked_fraction,
     calibration_preset,
@@ -79,6 +82,36 @@ def test_config_validation():
 def test_config_rejects_out_of_range_seeds_and_periods(overrides):
     with pytest.raises(ValueError):
         small(**overrides)
+
+
+# These configurations would ask for gigabytes or hours; they are only ever
+# handed to the validation that rejects them, never simulated.
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(envelope="gaussian", envelope_width=1e-9),
+        dict(envelope="gaussian", envelope_width=1e-6),
+        dict(envelope="gaussian", envelope_width=0.99 * 20.0 / MAX_PANELS),
+        dict(envelope="gaussian", envelope_width=math.nan),
+        dict(half_extent=MAX_HALF_EXTENT + 1),
+        dict(half_extent=10**9),
+        dict(period=1e307, wire_width=0.1),
+    ],
+)
+def test_config_rejects_unbounded_work(overrides):
+    with pytest.raises(ValueError):
+        small(**overrides)
+
+
+def test_config_accepts_the_bounds_themselves():
+    assert small(envelope="gaussian", envelope_width=20.0 / MAX_PANELS).extent == 10.0
+    assert small(half_extent=MAX_HALF_EXTENT).extent == MAX_HALF_EXTENT
+
+
+def test_config_rejects_a_window_mass_that_cannot_be_normalized():
+    # the reciprocal of the quantum norm (about 1e-319) overflows
+    with pytest.raises(ValueError, match="cannot be normalized"):
+        small(period=1e-320, wire_width=1e-321)
 
 
 def test_the_largest_seed_simulates():
@@ -273,9 +306,8 @@ def test_result_shapes_and_bookkeeping():
     assert res.blocked.shape == (5000,)
     assert set(np.unique(res.slits)) <= {"U", "L"}
     assert res.blocked_count == int(res.blocked.sum())
-    assert res.histogram_counts.sum() == 5000 - res.blocked_count
+    assert reconstruct(res, 20).counts.sum() == 5000 - res.blocked_count
     assert np.all(np.abs(res.x) <= cfg.extent)
-    assert res.seed == cfg.seed
 
 
 def test_slit_labels_are_a_fair_coin_independent_of_position():
@@ -339,6 +371,30 @@ def test_seed_sweep_reuses_the_sampling_table_and_norms():
         assert simulate(swept, workers=2) == simulate(swept, workers=1)
     assert photonsim._cumulative_table.cache_info().hits >= tables + 15
     assert photonsim._norm.cache_info().hits >= norms + 5
+
+
+@pytest.mark.parametrize("envelope", ["flat", "gaussian"])
+@pytest.mark.parametrize("mode", MODES)
+def test_sampler_matches_the_plain_inverse_transform(mode, envelope):
+    width = 3.0 if envelope == "gaussian" else None
+    cfg = small(photons=2 * CHUNK_SIZE + 1234, seed=17, mode=mode,
+                envelope=envelope, envelope_width=width)
+    cdf, xs = photonsim._cumulative_table(mode, photonsim._shape(cfg))
+    edges = np.ravel(make_grid(cfg))
+    slits, x, blocked = [], [], []
+    for index, start in enumerate(range(0, cfg.photons, CHUNK_SIZE)):
+        count = min(CHUNK_SIZE, cfg.photons - start)
+        stream = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
+        draws = np.random.default_rng(stream).random((count, 2))
+        x.append(np.interp(draws[:, 1], cdf, xs))
+        blocked.append(np.searchsorted(edges, x[-1], side="right") % 2 == 1)
+        labels = np.where(draws[:, 0] < 0.5, "U", "L")
+        slits.append(np.full(count, "U") if mode == "single-slit" else labels)
+    for workers in (1, 2):
+        res = simulate(cfg, workers=workers)
+        assert np.array_equal(res.x, np.concatenate(x))
+        assert np.array_equal(res.blocked, np.concatenate(blocked))
+        assert np.array_equal(res.slits, np.concatenate(slits))
 
 
 def test_chunk_streams_depend_only_on_seed_and_index():

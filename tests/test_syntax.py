@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from nafl.classical import eval_formula
 from nafl.errors import ParseError, UnknownTokenError
 from nafl.syntax import (
+    MAX_DEPTH,
     And,
     Atom,
     Iff,
@@ -77,6 +79,52 @@ def test_parse_error_positions():
         parse_formula("A B")
     with pytest.raises(ParseError):
         parse_formula("")
+
+
+def _chain(operator, operands):
+    return f" {operator} ".join(["A"] * operands)
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda n: "(" * n + "A" + ")" * n,
+        lambda n: "~" * n + "A",
+        lambda n: "~(" * (n // 2) + "A" + ")" * (n // 2),
+        lambda n: _chain("&", n + 1),
+        lambda n: _chain("|", n + 1),
+        lambda n: _chain("->", n + 1),
+        lambda n: _chain("<->", n + 1),
+    ],
+    ids=["parens", "negations", "mixed", "and", "or", "implies", "iff"],
+)
+def test_nesting_cap_sits_at_max_depth(nest):
+    deepest = parse_formula(nest(MAX_DEPTH))
+    # the tree at the cap stays within reach of the recursive printer and evaluator
+    assert parse_formula(format_formula(deepest)) == deepest
+    assert eval_formula(deepest, {"A": True}) in (True, False)
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse_formula(nest(MAX_DEPTH + 2))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 200 + "A" + ")" * 200, "~" * 1000 + "A", _chain("&", 3000), _chain("->", 3000)],
+    ids=["parens", "negations", "and", "implies"],
+)
+def test_deep_nesting_is_a_parse_error_not_a_recursion_error(text):
+    with pytest.raises(ParseError) as info:
+        parse_formula(text)
+    assert info.value.line == 1
+
+
+def test_nesting_error_points_at_the_level_past_the_cap():
+    with pytest.raises(ParseError) as info:
+        parse_formula("(" * (MAX_DEPTH + 1) + "A" + ")" * (MAX_DEPTH + 1))
+    assert info.value.column == MAX_DEPTH + 1
+    with pytest.raises(ParseError) as info:
+        parse_formula("(" * MAX_DEPTH + "A" + ")" * MAX_DEPTH + " -> B")
+    assert info.value.column == 2 * MAX_DEPTH + 3
 
 
 def test_printer_minimal_parentheses():
