@@ -9,8 +9,14 @@ timeline from superposed to classical epochs, and retroactive assertion
 rewrites the record only from the moment of proof onward.
 
 The photonsim module grounds the logic in a quantitative two-slit Monte
-Carlo with a wire grid parked on the interference minima.
+Carlo with a wire grid parked on the interference minima. It is the only
+part that needs numpy, so it loads on first use: ``import nafl`` registers
+it as a lazy module, and the first attribute read from it (``nafl.simulate``
+or ``nafl.photonsim.SimConfig``, say) executes it.
 """
+
+import importlib.util
+import sys
 
 from .classical import (
     entails,
@@ -54,18 +60,6 @@ from .models import (
     classical_models,
     nc_eval,
 )
-from .photonsim import (
-    ReconstructionReport,
-    SimConfig,
-    SimResult,
-    analytic_blocked_fraction,
-    calibration_preset,
-    classical_pdf,
-    make_grid,
-    quantum_pdf,
-    reconstruct,
-    simulate,
-)
 from .scenarios import (
     Scenario,
     TimelineReport,
@@ -98,6 +92,42 @@ from .timeline import (
     audit_kind_intervals,
     format_stamp,
 )
+
+
+# Registered in sys.modules now, executed on its first attribute read;
+# simulate notes why its worker threads cannot race that read.
+_spec = importlib.util.find_spec(f"{__name__}.photonsim")
+_spec.loader = importlib.util.LazyLoader(_spec.loader)
+photonsim = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = photonsim
+_spec.loader.exec_module(photonsim)
+del _spec
+
+# Re-exported from photonsim, served by __getattr__ so numpy loads only
+# when one of them is used.
+_SIM_NAMES = frozenset({
+    "ReconstructionReport",
+    "SimConfig",
+    "SimResult",
+    "analytic_blocked_fraction",
+    "calibration_preset",
+    "classical_pdf",
+    "make_grid",
+    "quantum_pdf",
+    "reconstruct",
+    "simulate",
+})
+
+
+def __getattr__(name: str):
+    if name in _SIM_NAMES:
+        return getattr(photonsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _SIM_NAMES)
+
 
 __version__ = "0.1.0"
 

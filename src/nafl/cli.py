@@ -22,8 +22,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import photonsim
 from .duality import _endpoints
 from .errors import (
@@ -40,6 +38,7 @@ from .errors import (
     VocabularyError,
 )
 from .scenarios import builtin_names, load_scenario, run_scenario
+from .simchoices import ENVELOPES, MODES
 from .syntax import format_formula, parse_formula
 from .theories import Theory, parse_theory
 from .timeline import Timeline, format_stamp
@@ -221,6 +220,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
         print(f"fringe minima aligned with wire centers: {aligned}")
 
     if args.out:
+        import numpy as np
+
         counts, edges = np.histogram(
             result.detected_x, bins=args.bins, range=(-cfg.extent, cfg.extent)
         )
@@ -381,11 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--period", type=float, default=None)
     p_sim.add_argument("--half-extent", type=int, default=None, dest="half_extent")
     p_sim.add_argument("--wire-width", type=float, default=None, dest="wire_width")
-    p_sim.add_argument("--envelope", choices=photonsim.ENVELOPES, default=None)
+    p_sim.add_argument("--envelope", choices=ENVELOPES, default=None)
     p_sim.add_argument(
         "--envelope-width", type=float, default=None, dest="envelope_width"
     )
-    p_sim.add_argument("--mode", choices=photonsim.MODES, default=None)
+    p_sim.add_argument("--mode", choices=MODES, default=None)
     p_sim.add_argument("--no-grid", action="store_true", help="remove the wire grid")
     p_sim.add_argument(
         "--preset",

@@ -14,7 +14,7 @@ from typing import Mapping
 
 from . import classical
 from .errors import NoSuperpositionError, UnknownAtomError, VocabularyError
-from .syntax import And, Atom, Formula, Not, Or, atoms_of, to_nnf
+from .syntax import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of
 from .theories import PropStatus, Theory
 
 # classical_models enumerates every valuation; cap the vocabulary.
@@ -112,7 +112,12 @@ def build_nonclassical(theory: Theory) -> NonclassicalModel:
 
 
 def nc_eval(model: NonclassicalModel, phi: Formula) -> bool:
-    """Paraconsistent evaluation: negation normal form, then literal lookup."""
+    """Paraconsistent evaluation: negations pushed down to literals.
+
+    Agrees with looking up literals in to_nnf(phi), but visits each node of
+    phi once instead of expanding -> and <->, so its cost is linear in the
+    size of phi.
+    """
     known = {name for name, _ in model.atom_status}
     stray = atoms_of(phi) - known
     if stray:
@@ -120,17 +125,26 @@ def nc_eval(model: NonclassicalModel, phi: Formula) -> bool:
             f"formula {phi} uses atom(s) {', '.join(sorted(stray))} "
             "outside the model's vocabulary"
         )
-    return _eval_nnf(model, to_nnf(phi))
+    return _nc_pair(model, phi)[0]
 
 
-def _eval_nnf(model: NonclassicalModel, node: Formula) -> bool:
+def _nc_pair(model: NonclassicalModel, node: Formula) -> tuple[bool, bool]:
+    """(truth of node, truth of its negation) in the superposed model."""
     if isinstance(node, Atom):
-        return model.literal_truth(node.name)
+        return model.literal_truth(node.name), model.literal_truth(node.name, negated=True)
     if isinstance(node, Not):
-        operand = node.operand
-        assert isinstance(operand, Atom), "negation normal form guarantees literals"
-        return model.literal_truth(operand.name, negated=True)
+        holds, fails = _nc_pair(model, node.operand)
+        return fails, holds
+    left, not_left = _nc_pair(model, node.left)
+    right, not_right = _nc_pair(model, node.right)
     if isinstance(node, And):
-        return _eval_nnf(model, node.left) and _eval_nnf(model, node.right)
-    assert isinstance(node, Or)
-    return _eval_nnf(model, node.left) or _eval_nnf(model, node.right)
+        return left and right, not_left or not_right
+    if isinstance(node, Or):
+        return left or right, not_left and not_right
+    if isinstance(node, Implies):
+        return not_left or right, left and not_right
+    assert isinstance(node, Iff)
+    return (
+        (not_left or right) and (left or not_right),
+        (left and not_right) or (not_left and right),
+    )

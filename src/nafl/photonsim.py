@@ -44,9 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NaflError, TooFewSamplesError
-
-MODES = ("quantum", "classical", "single-slit")
-ENVELOPES = ("flat", "gaussian")
+from .simchoices import ENVELOPES, MODES
 
 # Cumulative-table resolution. At 2^16 + 1 knots the piecewise-linear
 # sampler's density error near a fringe minimum is ~0.1% relative, far
@@ -63,6 +61,11 @@ MAX_HALF_EXTENT = 1000
 # Most Gauss-Legendre panels the gaussian norm may span, i.e. the bound on
 # 2 * extent / min(period / 2, envelope_width); its nodes take about 10 MB.
 MAX_PANELS = 1 << 16
+
+# Most histogram bins reconstruct accepts: every wire's window search scans
+# all bin centres, and a gaussian envelope's bin masses take 20 quadrature
+# nodes per bin, about 10 MB per temporary array at this bound.
+MAX_BINS = 1 << 16
 
 # Relative tolerance and underflow guard of the chi-square tail expansions.
 _EPS = 1e-16
@@ -381,6 +384,10 @@ def simulate(cfg: SimConfig, workers: int = 1) -> SimResult:
         for index in chunks:
             job(index)
     else:
+        # nafl registers this module lazily, and on Python 3.11 the first
+        # attribute access of a lazy module is not thread-safe. Reaching
+        # simulate was such an access, in the calling thread, so the module
+        # is fully loaded before any worker starts.
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(job, chunks))
     return SimResult(cfg, slits, x, blocked)
@@ -474,11 +481,14 @@ def _wire_windows(cfg: SimConfig, bins: int) -> tuple[np.ndarray, list]:
     """Bin centres, and per wire (its centre, the bins whose centre lies
     within half a period of it).
 
-    Raises NaflError for fewer than 2 bins (no degree of freedom is left) or
-    when some wire's window holds no bin centre to search for its minimum.
+    Raises NaflError for fewer than 2 bins (no degree of freedom is left),
+    more than MAX_BINS, or when some wire's window holds no bin centre to
+    search for its minimum. The count is checked before anything is allocated.
     """
     if bins < 2:
         raise NaflError(f"the histogram needs at least 2 bins; got {bins}")
+    if bins > MAX_BINS:
+        raise NaflError(f"the histogram takes at most {MAX_BINS} bins; got {bins}")
     edges = np.linspace(-cfg.extent, cfg.extent, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     windows = []

@@ -244,7 +244,7 @@ def test_sim_bad_geometry_exits_1(capsys):
     assert "wire width" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bins", ["0", "1", "8", "-3"])
+@pytest.mark.parametrize("bins", ["0", "1", "8", "-3", str(10**12)])
 def test_sim_unusable_bin_count_exits_1_before_simulating(bins, capsys):
     assert run(["sim", "--photons", "20000", "--preset", "--bins", bins]) == 1
     captured = capsys.readouterr()

@@ -1,7 +1,11 @@
 """Classical model enumeration and the superposed model."""
 
+import functools
+import itertools
+
 import pytest
 
+from nafl import models
 from nafl.errors import NoSuperpositionError, UnknownAtomError, VocabularyError
 from nafl.models import (
     ClassicalModel,
@@ -9,7 +13,7 @@ from nafl.models import (
     classical_models,
     nc_eval,
 )
-from nafl.syntax import parse_formula as pf
+from nafl.syntax import And, Atom, Iff, Implies, Not, Or, parse_formula as pf, to_nnf
 from nafl.theories import Theory
 
 
@@ -110,3 +114,65 @@ def test_nc_eval_agrees_with_classical_on_decided_vocabulary():
     for text in ("P & ~Q", "P -> Q", "P | Q", "P <-> Q", "~(P & Q)"):
         phi = pf(text)
         assert nc_eval(model, phi) == eval_formula(phi, valuation), text
+
+
+def nnf_oracle(model, phi):
+    """nc_eval by its definition: literal lookup in the negation normal form."""
+
+    def walk(node):
+        if isinstance(node, Atom):
+            return model.literal_truth(node.name)
+        if isinstance(node, Not):
+            return model.literal_truth(node.operand.name, negated=True)
+        if isinstance(node, And):
+            return walk(node.left) and walk(node.right)
+        return walk(node.left) or walk(node.right)
+
+    return walk(to_nnf(phi))
+
+
+BINARY = (And, Or, Implies, Iff)
+OPERANDS = (Atom("P"), Not(Atom("Q")), Atom("R"))
+# P superposed throughout; Q and R superposed, provable or refutable.
+MODEL_THEORIES = (
+    Theory("S", frozenset({"P", "Q", "R"}), ()),
+    Theory("D", frozenset({"P", "Q", "R"}), (pf("Q"), pf("~R"))),
+    Theory("M", frozenset({"P", "Q", "R"}), (pf("~Q"), pf("Q | R"))),
+)
+
+
+def chains(length):
+    """Left- and right-nested chains of OPERANDS under every operator mix."""
+    for operands in itertools.product(OPERANDS, repeat=length):
+        for ops in itertools.product(BINARY, repeat=length - 1):
+            left = operands[0]
+            for op, operand in zip(ops, operands[1:]):
+                left = op(left, operand)
+            right = operands[-1]
+            for op, operand in zip(reversed(ops), reversed(operands[:-1])):
+                right = op(operand, right)
+            yield left
+            yield right
+
+
+@pytest.mark.parametrize("theory", MODEL_THEORIES, ids=lambda t: t.name)
+def test_nc_eval_matches_the_nnf_oracle_on_small_chains(theory):
+    model = build_nonclassical(theory)
+    for length in range(1, 5):
+        for phi in chains(length):
+            for formula in (phi, Not(phi)):
+                assert nc_eval(model, formula) == nnf_oracle(model, formula), formula
+
+
+def test_nc_eval_visits_each_node_once(monkeypatch):
+    # A <-> chain of 64 operands, every other one negated: its negation
+    # normal form would hold more than 2^65 nodes.
+    operands = [Not(Atom("P")) if i % 2 else Atom("Q") for i in range(64)]
+    phi = functools.reduce(Iff, operands)
+    nodes = 64 + 32 + 63
+    calls = []
+    pair = models._nc_pair
+    monkeypatch.setattr(models, "_nc_pair", lambda *args: calls.append(args) or pair(*args))
+    model = build_nonclassical(Theory("T", frozenset({"P", "Q"}), (pf("Q"),)))
+    nc_eval(model, phi)
+    assert len(calls) == nodes

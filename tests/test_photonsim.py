@@ -459,8 +459,14 @@ def test_reconstruction_needs_enough_samples_per_bin():
         reconstruct(res, bins=100)
 
 
-@pytest.mark.parametrize("bins", [-3, 0, 1, 8, 9, 19])
+@pytest.mark.parametrize("bins", [-3, 0, 1, 8, 9, 19, photonsim.MAX_BINS + 1, 10**12])
 def test_reconstruction_rejects_an_unusable_bin_count(bins):
     res = simulate(calibration_preset(20_000, 4))
     with pytest.raises(NaflError):
         reconstruct(res, bins)
+
+
+def test_reconstruction_accepts_the_largest_bin_count():
+    centers, windows = photonsim._wire_windows(calibration_preset(1000, 4), photonsim.MAX_BINS)
+    assert centers.size == photonsim.MAX_BINS
+    assert len(windows) == 20

@@ -1,0 +1,90 @@
+"""Start-up cost: only the photon Monte Carlo needs numpy, and it loads on
+first use. The logic commands run without it, while every sim name stays
+importable from ``nafl`` and ``nafl.photonsim`` stays in sys.modules."""
+
+import hashlib
+
+import pytest
+
+import nafl
+from nafl import cli
+
+THEORY = "theory T\natoms P Q\naxiom Q -> P\nquery P | ~P\n"
+
+RUN_MAIN = """\
+import contextlib, io, sys
+import nafl, nafl.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = nafl.cli.main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+# sha256 of the histogram CSV that `nafl sim --preset --photons 1000 --out`
+# wrote when numpy was still imported at start-up.
+PRESET_1000_CSV = "1250e0895e09f65e4b0329809f36886574509a0e154f779c2fdd51f2816ef9e6"
+
+
+@pytest.mark.parametrize("command", ["run", "check", "duality"])
+def test_logic_commands_leave_numpy_unloaded(command, run_python, tmp_path):
+    target = "afshar"
+    if command == "check":
+        target = tmp_path / "t.thy"
+        target.write_text(THEORY, encoding="utf-8")
+    script = f"import sys; sys.argv[1:] = [{command!r}, {str(target)!r}]\n" + RUN_MAIN
+    assert run_python(script).split() == ["0", "False"]
+
+
+def test_import_registers_photonsim_without_loading_it(run_python):
+    script = (
+        "import sys, nafl\n"
+        "print('nafl.photonsim' in sys.modules, 'numpy' in sys.modules,\n"
+        "      nafl.photonsim is sys.modules['nafl.photonsim'])\n"
+    )
+    assert run_python(script).split() == ["True", "False", "True"]
+
+
+def test_sim_names_load_numpy_on_first_use(run_python):
+    script = (
+        "import sys\n"
+        "from nafl import SimConfig, simulate\n"
+        "import nafl.photonsim\n"
+        "print('numpy' in sys.modules, simulate is nafl.photonsim.simulate,\n"
+        "      simulate(SimConfig(photons=10, seed=1)).photons)\n"
+    )
+    assert run_python(script).split() == ["True", "True", "10"]
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from nafl import *", namespace)
+    assert all(namespace[name] is getattr(nafl, name) for name in nafl.__all__)
+
+
+def test_dir_lists_every_public_name():
+    assert set(nafl.__all__) <= set(dir(nafl))
+    with pytest.raises(AttributeError, match="no attribute 'simulator'"):
+        getattr(nafl, "simulator")
+
+
+def test_sim_csv_is_unchanged(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert cli.main(["sim", "--preset", "--photons", "1000", "--out", str(out)]) == 2
+    assert capsys.readouterr().out.endswith(f"histogram written to {out}\n")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_1000_CSV
+
+
+@pytest.mark.parametrize(
+    "flag, choices",
+    [
+        ("--mode", "'quantum', 'classical', 'single-slit'"),
+        ("--envelope", "'flat', 'gaussian'"),
+    ],
+)
+def test_unknown_sim_choice_exits_2(flag, choices, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["sim", flag, "bogus"])
+    assert exit_info.value.code == 2
+    assert (
+        f"argument {flag}: invalid choice: 'bogus' (choose from {choices})"
+        in capsys.readouterr().err
+    )
