@@ -17,6 +17,7 @@ or ``nafl.photonsim.SimConfig``, say) executes it.
 
 import importlib.util
 import sys
+import types
 
 from .classical import (
     entails,
@@ -94,13 +95,26 @@ from .timeline import (
 )
 
 
-# Registered in sys.modules now, executed on its first attribute read;
-# simulate notes why its worker threads cannot race that read.
+class _LazyModule(types.ModuleType):
+    """A module that executes on the first read of a name it lacks.
+
+    Unlike importlib.util.LazyLoader's module, it stays lazy when executing
+    fails, so without numpy every read raises the same ModuleNotFoundError.
+    The first read takes no lock; simulate notes why its worker threads
+    cannot race it.
+    """
+
+    def __getattr__(self, name: str):
+        self.__spec__.loader.exec_module(self)
+        self.__class__ = types.ModuleType
+        return getattr(self, name)
+
+
+# Registered in sys.modules now, executed on its first attribute read.
 _spec = importlib.util.find_spec(f"{__name__}.photonsim")
-_spec.loader = importlib.util.LazyLoader(_spec.loader)
 photonsim = importlib.util.module_from_spec(_spec)
+photonsim.__class__ = _LazyModule
 sys.modules[_spec.name] = photonsim
-_spec.loader.exec_module(photonsim)
 del _spec
 
 # Re-exported from photonsim, served by __getattr__ so numpy loads only

@@ -8,11 +8,11 @@ Five subcommands:
 * sim      - run the photon Monte Carlo and summarize it;
 * repl     - interactive timeline session on a growing theory.
 
-Exit codes: 0 success; 1 malformed input (parse or validation); 2 a
-well-formed theory or run was rejected (illegal axiom, inconsistency, or
-too few samples per bin); 3 a soundness check failed (single-model-kind
-audit or duality bound); 4 an expect-reject annotation did not match what
-actually happened.
+Exit codes: 0 success; 1 malformed input (parse or validation), or no
+numpy for sim; 2 a well-formed theory or run was rejected (illegal axiom,
+inconsistency, or too few samples per bin); 3 a soundness check failed
+(single-model-kind audit or duality bound); 4 an expect-reject annotation
+did not match what actually happened.
 """
 
 from __future__ import annotations
@@ -165,6 +165,10 @@ def _read_config_file(path: str) -> dict:
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
+    try:
+        photonsim.SimConfig  # the first read executes the module, which imports numpy
+    except ImportError as exc:
+        return _fail(f"nafl sim needs numpy: {exc}", EXIT_BAD_INPUT)
     settings: dict = {}
     if args.preset:
         settings.update(period=1.0, wire_width=0.066)

@@ -8,9 +8,9 @@ assigned; the audit then checks the squared sum against the unit bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from .record import record
 from .theories import PropStatus
 from .timeline import Timeline, format_stamp
 
@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover
 BOUND_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class DualityRecord:
     time_label: str
     time: float
@@ -46,7 +46,7 @@ def assign_duality(scenario: "Scenario", tl: Timeline) -> tuple[DualityRecord, .
     )
 
 
-@dataclass(frozen=True)
+@record
 class DualityReport:
     records: tuple[DualityRecord, ...]
     tolerance: float = BOUND_TOLERANCE

@@ -9,11 +9,11 @@ over a superposed atom holds without everything else following from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from . import classical
 from .errors import NoSuperpositionError, UnknownAtomError, VocabularyError
+from .record import record
 from .syntax import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of
 from .theories import PropStatus, Theory
 
@@ -21,7 +21,7 @@ from .theories import PropStatus, Theory
 _MODEL_VOCAB_LIMIT = 16
 
 
-@dataclass(frozen=True)
+@record
 class ClassicalModel:
     """One total valuation, stored as a sorted tuple so models hash and compare."""
 
@@ -56,7 +56,7 @@ def classical_models(theory: Theory) -> frozenset[ClassicalModel]:
     )
 
 
-@dataclass(frozen=True)
+@record
 class NonclassicalModel:
     """Superposition of the classical models of a theory.
 

@@ -384,10 +384,10 @@ def simulate(cfg: SimConfig, workers: int = 1) -> SimResult:
         for index in chunks:
             job(index)
     else:
-        # nafl registers this module lazily, and on Python 3.11 the first
-        # attribute access of a lazy module is not thread-safe. Reaching
-        # simulate was such an access, in the calling thread, so the module
-        # is fully loaded before any worker starts.
+        # nafl registers this module lazily, and the first attribute read
+        # of the lazy module, which executes it, takes no lock. Reaching
+        # simulate was such a read, in the calling thread, so the module is
+        # fully loaded before any worker starts.
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(job, chunks))
     return SimResult(cfg, slits, x, blocked)

@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
-from importlib import resources
 
 from .duality import DualityRecord, DualityReport, assign_duality, duality_check
 from .errors import (
@@ -39,12 +37,13 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
 )
+from .record import record
 from .syntax import Atom, Formula, atoms_of, parse_formula
 from .theories import Theory
 from .timeline import BCPReport, Timeline, format_stamp
 
 
-@dataclass(frozen=True)
+@record
 class DeclareEvent:
     line: int
     time_label: str
@@ -57,7 +56,7 @@ class DeclareEvent:
         return f"at {self.time_label} {prefix} {text}"
 
 
-@dataclass(frozen=True)
+@record
 class RetroEvent:
     line: int
     time_label: str
@@ -75,7 +74,7 @@ class RetroEvent:
 Event = DeclareEvent | RetroEvent
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     name: str
     atoms: tuple[tuple[str, str], ...]          # (name, gloss) in file order
@@ -304,24 +303,28 @@ def _validate(scenario: Scenario) -> None:
 # --------------------------------------------------------------------------
 
 
+# The built-ins are files next to this module. importlib.resources would
+# find them too, but on Python 3.12 it imports inspect at every start-up.
+_BUILTIN_DIR = os.path.join(os.path.dirname(__file__), "builtin")
+
+
 def builtin_names() -> tuple[str, ...]:
-    package = resources.files("nafl.builtin")
     names = sorted(
-        entry.name[: -len(".scn")]
-        for entry in package.iterdir()
-        if entry.name.endswith(".scn")
+        entry[: -len(".scn")]
+        for entry in os.listdir(_BUILTIN_DIR)
+        if entry.endswith(".scn")
     )
     return tuple(names)
 
 
 def builtin_scenario(name: str) -> Scenario:
-    package = resources.files("nafl.builtin")
-    entry = package.joinpath(f"{name}.scn")
-    if not entry.is_file():
+    path = os.path.join(_BUILTIN_DIR, f"{name}.scn")
+    if not os.path.isfile(path):
         raise ScenarioValidationError(
             f"no builtin scenario {name!r}; available: {', '.join(builtin_names())}"
         )
-    return parse_scenario(entry.read_text(encoding="utf-8"))
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_scenario(handle.read())
 
 
 def load_scenario(path_or_name: str) -> Scenario:
@@ -339,7 +342,7 @@ def load_scenario(path_or_name: str) -> Scenario:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RejectionRecord:
     event: DeclareEvent
     time: float
@@ -347,7 +350,7 @@ class RejectionRecord:
     message: str
 
 
-@dataclass(frozen=True)
+@record
 class TimelineReport:
     scenario: Scenario
     timeline: Timeline

@@ -19,52 +19,105 @@ semantically, never by rewriting the tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import ParseError, UnknownTokenError
+from .record import frozen_delattr, frozen_setattr
 
 
-@dataclass(frozen=True, slots=True)
 class Formula:
-    """Base class; concrete nodes are the five subclasses below."""
+    """Base class; concrete nodes are the six subclasses below.
+
+    Nodes are immutable values: equal when of the same class with equal
+    fields, hashed from their fields, printed as constructor calls. Nothing
+    is cached per node, because the search builds nodes in its inner loop.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
     name: str
 
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
-@dataclass(frozen=True, slots=True)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+
 class Not(Formula):
+    __slots__ = ("operand",)
+    __match_args__ = ("operand",)
     operand: Formula
 
+    def __init__(self, operand: Formula) -> None:
+        object.__setattr__(self, "operand", operand)
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.operand,) == (other.operand,)  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.operand,))
+
+
+class _Binary(Formula):
+    """The fields and value semantics the four connectives share."""
+
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
     left: Formula
     right: Formula
 
+    def __init__(self, left: Formula, right: Formula) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
 
 
 def atoms_of(formula: Formula) -> frozenset[str]:

@@ -47,7 +47,6 @@ is ever needed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import classical
@@ -59,6 +58,7 @@ from .errors import (
     UnknownAtomError,
     VocabularyError,
 )
+from .record import record
 from .syntax import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of, parse_formula
 
 # Materializing more formula trees than this is refused by theorems().
@@ -76,7 +76,7 @@ class PropStatus(enum.Enum):
     UNDECIDABLE = "undecidable"
 
 
-@dataclass(frozen=True)
+@record
 class Theory:
     """Immutable named axiom set over a fixed vocabulary.
 
@@ -89,8 +89,9 @@ class Theory:
     name: str
     vocabulary: frozenset[str]
     axioms: tuple[Formula, ...] = ()
-    _status: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _witnesses: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # Private, so outside eq, hash and repr: the memo and the witnesses.
+    _status: dict
+    _witnesses: list
 
     def __init__(self, name: str, vocabulary: Iterable[str], axioms: Iterable[Formula] = ()):
         vocabulary = frozenset(vocabulary)

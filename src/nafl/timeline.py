@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
 
@@ -35,6 +34,7 @@ from .errors import (
     UnknownAtomError,
     UnprovableRetroError,
 )
+from .record import record
 from .syntax import Formula
 from .theories import PropStatus, Theory
 
@@ -61,7 +61,7 @@ def format_stamp(t: float) -> str:
     return repr(t)
 
 
-@dataclass(frozen=True)
+@record
 class Epoch:
     """One declaration step: the delta opened at `start` and the resulting theory."""
 
@@ -70,7 +70,7 @@ class Epoch:
     theory: Theory
 
 
-@dataclass(frozen=True)
+@record
 class RetroAssertion:
     """A formula about [start, end) that became provable at asserted_at.
 
@@ -85,7 +85,7 @@ class RetroAssertion:
     bridge: Formula | None
 
 
-@dataclass(frozen=True)
+@record
 class Timeline:
     base: Theory
     epochs: tuple[Epoch, ...]
@@ -243,7 +243,7 @@ def audit_kind_intervals(
     return conflicts
 
 
-@dataclass(frozen=True)
+@record
 class BCPReport:
     """Verdict on whether the timeline ever shows both model kinds at once."""
 

@@ -1,6 +1,7 @@
 """Start-up cost: only the photon Monte Carlo needs numpy, and it loads on
-first use. The logic commands run without it, while every sim name stays
-importable from ``nafl`` and ``nafl.photonsim`` stays in sys.modules."""
+first use. The logic commands run without it, and without dataclasses and
+inspect, while every sim name stays importable from ``nafl`` and
+``nafl.photonsim`` stays in sys.modules."""
 
 import hashlib
 
@@ -14,9 +15,11 @@ THEORY = "theory T\natoms P Q\naxiom Q -> P\nquery P | ~P\n"
 RUN_MAIN = """\
 import contextlib, io, sys
 import nafl, nafl.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = nafl.cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+code = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = nafl.cli.main(sys.argv[1:])
+print(code, *[m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules])
 """
 
 # sha256 of the histogram CSV that `nafl sim --preset --photons 1000 --out`
@@ -24,14 +27,16 @@ print(code, "numpy" in sys.modules)
 PRESET_1000_CSV = "1250e0895e09f65e4b0329809f36886574509a0e154f779c2fdd51f2816ef9e6"
 
 
-@pytest.mark.parametrize("command", ["run", "check", "duality"])
+@pytest.mark.parametrize("command", ["import", "run", "check", "duality"])
 def test_logic_commands_leave_numpy_unloaded(command, run_python, tmp_path):
-    target = "afshar"
-    if command == "check":
-        target = tmp_path / "t.thy"
-        target.write_text(THEORY, encoding="utf-8")
-    script = f"import sys; sys.argv[1:] = [{command!r}, {str(target)!r}]\n" + RUN_MAIN
-    assert run_python(script).split() == ["0", "False"]
+    argv = [command, "afshar"]
+    if command == "import":
+        argv = []
+    elif command == "check":
+        argv[1] = str(tmp_path / "t.thy")
+        (tmp_path / "t.thy").write_text(THEORY, encoding="utf-8")
+    script = f"import sys; sys.argv[1:] = {argv!r}\n" + RUN_MAIN
+    assert run_python(script).split() == ["0"]
 
 
 def test_import_registers_photonsim_without_loading_it(run_python):
@@ -52,6 +57,26 @@ def test_sim_names_load_numpy_on_first_use(run_python):
         "      simulate(SimConfig(photons=10, seed=1)).photons)\n"
     )
     assert run_python(script).split() == ["True", "True", "10"]
+
+
+def test_a_failed_sim_load_fails_the_same_way_every_time(run_python):
+    script = (
+        "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import nafl, nafl.cli\n"
+        "for read in [lambda: nafl.simulate, lambda: nafl.photonsim.simulate,\n"
+        "             lambda: nafl.SimConfig, lambda: nafl.photonsim.reconstruct]:\n"
+        "    try:\n"
+        "        read()\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, exc.name)\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        "    code = nafl.cli.main(['sim'])\n"
+        "print(code, err.getvalue().startswith('error: nafl sim needs numpy'))\n"
+    )
+    lines = run_python(script).splitlines()
+    assert lines == ["ModuleNotFoundError numpy"] * 4 + ["1 True"]
 
 
 def test_star_import_binds_every_public_name():
