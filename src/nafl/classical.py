@@ -1,23 +1,30 @@
 """Classical consequence over finite vocabularies.
 
-One exact decision path: a backtracking satisfiability search with partial
-evaluation. ``find_model`` is its one entry point and returns the model it
-finds, a partial assignment under which every formula simplifies to true, so
-any completion of it is a model too. ``is_satisfiable`` and ``entails`` are
-one-line wrappers over it. The tests cross-check the search against
-exhaustive valuation enumeration, which they keep as their oracle.
+One exact decision path: bit-parallel truth tables (Knuth, TAOCP 4A,
+§7.1.3). Over a sorted vocabulary of n atoms, valuation v gives the atom at
+index k the value of bit k of v, and a table is a Python int whose bit v is
+set iff valuation v satisfies the formula. An atom's table is its column,
+cached per (index, vocabulary size); ``table`` folds the connectives into
+bitwise operations on them. The models of a formula set are the AND of their
+tables, so entailment is one AND and one comparison, with no search.
+
+``find_model``, ``is_satisfiable`` and ``entails`` build the tables over the
+formulas' own vocabulary. The tests cross-check them against exhaustive
+valuation enumeration (``eval_formula`` over ``valuations``), which they keep
+as their oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import VocabularyError
 from .syntax import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of
 
-# Hard cap keeping full valuation enumeration feasible as an oracle.
-VOCAB_LIMIT = 24
+# A table over n atoms has 2**n bits: 8 KiB per formula at 16 atoms.
+VOCAB_LIMIT = 16
 
 
 def vocabulary_of(formulas: Iterable[Formula]) -> tuple[str, ...]:
@@ -27,10 +34,10 @@ def vocabulary_of(formulas: Iterable[Formula]) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def _check_vocab(formulas: Sequence[Formula], limit: int = VOCAB_LIMIT) -> tuple[str, ...]:
+def _check_vocab(formulas: Sequence[Formula]) -> tuple[str, ...]:
     vocab = vocabulary_of(formulas)
-    if len(vocab) > limit:
-        raise VocabularyError(f"{len(vocab)} atoms exceed the supported bound of {limit}")
+    if len(vocab) > VOCAB_LIMIT:
+        raise VocabularyError(f"{len(vocab)} atoms exceed the supported bound of {VOCAB_LIMIT}")
     return vocab
 
 
@@ -55,110 +62,77 @@ def valuations(vocab: Sequence[str]) -> Iterator[dict[str, bool]]:
 
 
 # --------------------------------------------------------------------------
-# Backtracking search with partial evaluation
+# Truth tables
 # --------------------------------------------------------------------------
 
 
-def _simplify(formula: Formula, assignment: Mapping[str, bool]) -> Formula | bool:
-    """Partially evaluate under an incomplete assignment."""
+def full_table(size: int) -> int:
+    """The table of every valuation of a size-atom vocabulary."""
+    return (1 << (1 << size)) - 1
+
+
+@functools.cache
+def column(index: int, size: int) -> int:
+    """The table of the atom at `index` of a sorted size-atom vocabulary.
+
+    Bit v is set iff bit `index` of v is: runs of 2**index zeros and ones,
+    built as one block times a repunit in base 2**(2 * 2**index).
+    """
+    width = 1 << index
+    return full_table(size) // ((1 << 2 * width) - 1) * (((1 << width) - 1) << width)
+
+
+def columns(vocab: Sequence[str]) -> dict[str, int]:
+    """The column of each atom of a sorted vocabulary."""
+    return {name: column(index, len(vocab)) for index, name in enumerate(vocab)}
+
+
+def table(formula: Formula, cols: Mapping[str, int], full: int) -> int:
+    """The truth table of formula over the vocabulary of `cols`.
+
+    `full` is that vocabulary's ``full_table``. An atom outside `cols`
+    raises KeyError.
+    """
     if isinstance(formula, Atom):
-        value = assignment.get(formula.name)
-        return formula if value is None else value
+        return cols[formula.name]
     if isinstance(formula, Not):
-        sub = _simplify(formula.operand, assignment)
-        if isinstance(sub, bool):
-            return not sub
-        return Not(sub)
+        return full ^ table(formula.operand, cols, full)
+    left = table(formula.left, cols, full)
+    right = table(formula.right, cols, full)
     if isinstance(formula, And):
-        left = _simplify(formula.left, assignment)
-        if left is False:
-            return False
-        right = _simplify(formula.right, assignment)
-        if right is False:
-            return False
-        if left is True:
-            return right
-        if right is True:
-            return left
-        return And(left, right)
+        return left & right
     if isinstance(formula, Or):
-        left = _simplify(formula.left, assignment)
-        if left is True:
-            return True
-        right = _simplify(formula.right, assignment)
-        if right is True:
-            return True
-        if left is False:
-            return right
-        if right is False:
-            return left
-        return Or(left, right)
+        return left | right
     if isinstance(formula, Implies):
-        left = _simplify(formula.left, assignment)
-        if left is False:
-            return True
-        right = _simplify(formula.right, assignment)
-        if right is True:
-            return True
-        if left is True:
-            return right
-        if right is False:
-            return Not(left)
-        return Implies(left, right)
+        return (full ^ left) | right
     assert isinstance(formula, Iff)
-    left = _simplify(formula.left, assignment)
-    right = _simplify(formula.right, assignment)
-    if isinstance(left, bool) and isinstance(right, bool):
-        return left == right
-    if left is True:
-        return right
-    if right is True:
-        return left
-    if left is False:
-        return right if isinstance(right, bool) else Not(right)
-    if right is False:
-        return left if isinstance(left, bool) else Not(left)
-    return Iff(left, right)
+    return full ^ left ^ right
 
 
-def _first_atom(formula: Formula) -> str:
-    node = formula
-    while not isinstance(node, Atom):
-        if isinstance(node, Not):
-            node = node.operand
-        else:
-            node = node.left  # type: ignore[attr-defined]
-    return node.name
+def set_bits(models: int) -> Iterator[int]:
+    """The valuations a table holds, lowest first."""
+    for index, digit in enumerate(reversed(bin(models)[2:])):
+        if digit == "1":
+            yield index
 
 
-def _search(pending: list[Formula], assignment: dict[str, bool]) -> dict[str, bool] | None:
-    residual: list[Formula] = []
-    for formula in pending:
-        value = _simplify(formula, assignment)
-        if value is False:
-            return None
-        if value is not True:
-            residual.append(value)
-    if not residual:
-        return dict(assignment)
-    atom = _first_atom(residual[0])
-    for choice in (True, False):
-        assignment[atom] = choice
-        model = _search(residual, assignment)
-        del assignment[atom]
-        if model is not None:
-            return model
-    return None
+def valuation(index: int, vocab: Sequence[str]) -> dict[str, bool]:
+    """Valuation number `index` of a sorted vocabulary."""
+    return {name: bool(index >> k & 1) for k, name in enumerate(vocab)}
 
 
 def find_model(formulas: Iterable[Formula]) -> dict[str, bool] | None:
-    """A partial assignment making every formula true, or None if none exists.
-
-    Atoms the assignment leaves out may take either value.
-    """
+    """The lowest valuation of the formulas' atoms making every formula true,
+    or None if none exists."""
     formulas = list(formulas)
-    _check_vocab(formulas)
-    return _search(formulas, {})
+    vocab = _check_vocab(formulas)
+    cols, full = columns(vocab), full_table(len(vocab))
+    models = full
+    for formula in formulas:
+        models &= table(formula, cols, full)
+    if not models:
+        return None
+    return valuation((models & -models).bit_length() - 1, vocab)
 
 
 def is_satisfiable(axioms: Sequence[Formula]) -> bool:

@@ -37,7 +37,7 @@ from .errors import (
     UnknownAtomError,
     VocabularyError,
 )
-from .scenarios import builtin_names, load_scenario, run_scenario
+from .scenarios import builtin_names, load_scenario, parse_scenario, run_scenario
 from .simchoices import ENVELOPES, MODES
 from .syntax import format_formula, parse_formula
 from .theories import Theory, parse_theory
@@ -55,16 +55,28 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+class _UnreadableFile(ValueError):
+    """A file named on the command line cannot be read as UTF-8 text.
+
+    A ValueError, so ``sim --config`` reports it like a bad setting."""
+
+
+def _read_file(path: str) -> str:
+    """The text of a theory, scenario or config file; ``main`` reports a
+    file it cannot read as malformed input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UnreadableFile(str(exc)) from None
+
+
 # --------------------------------------------------------------------------
 # check
 # --------------------------------------------------------------------------
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        return _fail(str(exc), EXIT_BAD_INPUT)
+    text = _read_file(args.file)
     try:
         theory, queries = parse_theory(text)
     except (ParseError, UnknownAtomError, VocabularyError) as exc:
@@ -101,7 +113,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _load_and_run(source: str):
-    scenario = load_scenario(source)
+    # A path that exists is read here, so an unreadable one is an error line;
+    # load_scenario resolves built-in names and reports missing files.
+    if Path(source).exists():
+        scenario = parse_scenario(_read_file(source))
+    else:
+        scenario = load_scenario(source)
     return run_scenario(scenario)
 
 
@@ -150,7 +167,7 @@ _CONFIG_FIELDS = {
 
 def _read_config_file(path: str) -> dict:
     values: dict = {}
-    for number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for number, raw in enumerate(_read_file(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -175,7 +192,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
     if args.config:
         try:
             settings.update(_read_config_file(args.config))
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             return _fail(f"config file: {exc}", EXIT_BAD_INPUT)
     for name in (
         "photons", "seed", "period", "half_extent", "wire_width",
@@ -411,7 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UnreadableFile as exc:
+        return _fail(str(exc), EXIT_BAD_INPUT)
 
 
 if __name__ == "__main__":

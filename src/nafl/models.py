@@ -12,13 +12,10 @@ from __future__ import annotations
 from typing import Mapping
 
 from . import classical
-from .errors import NoSuperpositionError, UnknownAtomError, VocabularyError
+from .errors import NoSuperpositionError, UnknownAtomError
 from .record import record
 from .syntax import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of
 from .theories import PropStatus, Theory
-
-# classical_models enumerates every valuation; cap the vocabulary.
-_MODEL_VOCAB_LIMIT = 16
 
 
 @record
@@ -43,16 +40,10 @@ class ClassicalModel:
 
 def classical_models(theory: Theory) -> frozenset[ClassicalModel]:
     """Every valuation of the vocabulary satisfying all axioms."""
-    if len(theory.vocabulary) > _MODEL_VOCAB_LIMIT:
-        raise VocabularyError(
-            f"model enumeration supports at most {_MODEL_VOCAB_LIMIT} atoms; "
-            f"theory {theory.name!r} declares {len(theory.vocabulary)}"
-        )
     vocab = tuple(sorted(theory.vocabulary))
     return frozenset(
-        ClassicalModel.from_valuation(v)
-        for v in classical.valuations(vocab)
-        if all(classical.eval_formula(ax, v) for ax in theory.axioms)
+        ClassicalModel.from_valuation(classical.valuation(index, vocab))
+        for index in classical.set_bits(theory._models)
     )
 
 

@@ -9,7 +9,7 @@ A formula nests at most ``MAX_DEPTH`` (100) levels deep: every parenthesis
 pair, negation and binary operator around an atom is one level, so
 ``((A))``, ``~~A`` and ``A & B & C`` are each two levels deep. Deeper text
 is a ParseError. The cap keeps the parser and every recursive pass over the
-tree (printer, normal form, evaluation, search) far inside Python's
+tree (printer, normal form, evaluation, truth tables) far inside Python's
 recursion limit.
 
 ``~~A`` stays structurally distinct from ``A``: double negation is simplified
@@ -30,7 +30,7 @@ class Formula:
 
     Nodes are immutable values: equal when of the same class with equal
     fields, hashed from their fields, printed as constructor calls. Nothing
-    is cached per node, because the search builds nodes in its inner loop.
+    is cached per node.
     """
 
     __slots__ = ()

@@ -28,20 +28,11 @@ the delta, each formula against the theory grown so far, and never the
 axioms it inherits. A Theory decides each formula at most once: statuses
 are memoized per Theory, and the layered rule reads the same memo.
 
-Witnesses. A Theory keeps the models its searches have found, each
-completed with False for the atoms the search left open. ``classify``
-evaluates a formula on them first: if two witnesses disagree, the formula is
-undecidable with no search. Otherwise one search looks for a model on the
-other side; it either decides the formula or becomes a new witness. So each
-formula costs at most one search.
-
-Warm start. A theory grown by ``extend`` (or by the constructor, one axiom
-at a time) inherits its prefix's provable and refutable verdicts, which more
-axioms cannot undo, and the prefix's witnesses that satisfy the new axiom.
-The empty theory's witness is the all-False valuation. Checking a legal axiom
-has classified it, so some witness satisfies it unless it is refutable: if
-none survives, the grown theory is inconsistent, and no consistency search
-is ever needed.
+Truth tables. A Theory holds the table of its models (see ``classical``):
+the AND of its axioms' tables over its sorted vocabulary, which every
+extension narrows by one AND per new axiom. A formula with table t is
+provable when every model is in t, refutable when none is, and undecidable
+otherwise, so each decision costs one table and no search.
 """
 
 from __future__ import annotations
@@ -82,16 +73,19 @@ class Theory:
 
     Construction validates everything: vocabulary size, axiom atoms,
     incremental axiom legality, and consistency. A Theory in hand is
-    therefore always consistent, and every status it decides is memoized.
-    It always holds at least one witness, a total model of its axioms.
+    therefore always consistent, so its table of models is never empty, and
+    every status it decides is memoized.
     """
 
     name: str
     vocabulary: frozenset[str]
     axioms: tuple[Formula, ...] = ()
-    # Private, so outside eq, hash and repr: the memo and the witnesses.
+    # Private, so outside eq, hash and repr: the memo, the table of models,
+    # and the vocabulary's columns and full table.
     _status: dict
-    _witnesses: list
+    _models: int
+    _columns: dict
+    _full: int
 
     def __init__(self, name: str, vocabulary: Iterable[str], axioms: Iterable[Formula] = ()):
         vocabulary = frozenset(vocabulary)
@@ -100,29 +94,31 @@ class Theory:
                 f"theory {name!r} declares {len(vocabulary)} atoms; "
                 f"the supported bound is {classical.VOCAB_LIMIT}"
             )
-        # The empty prefix is a theory of its own: its memo holds statuses
-        # against no axioms, which must not outlive the validation. With no
-        # axioms, the all-False valuation is a model.
-        empty = Theory._trusted(name, vocabulary, (), {}, [dict.fromkeys(vocabulary, False)])
+        # The empty prefix is a theory of its own, whose memo holds statuses
+        # against no axioms: every valuation is one of its models.
+        full = classical.full_table(len(vocabulary))
+        columns = classical.columns(sorted(vocabulary))
+        empty = Theory._trusted(name, vocabulary, (), full, columns, full)
         vars(self).update(vars(empty._admit(name, tuple(axioms))))
 
     @classmethod
     def _trusted(
-        cls, name: str, vocabulary: frozenset[str], axioms: tuple, status: dict, witnesses: list
+        cls, name: str, vocabulary: frozenset[str], axioms: tuple, models: int,
+        columns: dict, full: int,
     ) -> "Theory":
-        """A theory whose axioms are already known to be valid, with its
-        known verdicts and at least one total model."""
+        """A theory whose axioms are already known to be valid, with the
+        table of their models."""
         theory = object.__new__(cls)
         vars(theory).update(
-            name=name, vocabulary=vocabulary, axioms=axioms, _status=status, _witnesses=witnesses
+            name=name, vocabulary=vocabulary, axioms=axioms, _status={}, _models=models,
+            _columns=columns, _full=full,
         )
         return theory
 
     def _admit(self, name: str, delta: tuple[Formula, ...]) -> "Theory":
         """Theory `name`: self's axioms plus delta, each legal in its prefix.
 
-        Self is already validated, so only the delta is checked. Each prefix
-        starts warm from the one before it.
+        Self is already validated, so only the delta is checked.
         """
         for axiom in delta:
             stray = atoms_of(axiom) - self.vocabulary
@@ -140,21 +136,21 @@ class Theory:
                     "it contains an atom they leave undecided, so it is "
                     "outside the theory syntax",
                 )
-            axioms = theory.axioms + (axiom,)
-            witnesses = [w for w in theory._witnesses if classical.eval_formula(axiom, w)]
-            if not witnesses:
-                # Legal, yet false in every witness: is_legal found it
-                # refutable, so the grown axioms have no model. Every later
-                # axiom would be legal in them, so failing now reports what
-                # checking the whole delta would.
+            models = theory._models & theory._table(axiom)
+            if not models:
+                # Legal, yet false in every model: is_legal found it
+                # refutable. Every later axiom would be legal in a theory
+                # with no models, so failing now reports what checking the
+                # whole delta would.
                 raise InconsistentTheoryError(f"axioms of theory {name!r} have no model")
-            decided = {
-                phi: status
-                for phi, status in theory._status.items()
-                if status is not PropStatus.UNDECIDABLE
-            }
-            theory = Theory._trusted(name, self.vocabulary, axioms, decided, witnesses)
+            theory = Theory._trusted(
+                name, self.vocabulary, theory.axioms + (axiom,), models, self._columns, self._full
+            )
         return theory
+
+    def _table(self, phi: Formula) -> int:
+        """The truth table of phi over this theory's vocabulary."""
+        return classical.table(phi, self._columns, self._full)
 
     # -- classification -----------------------------------------------------
 
@@ -167,29 +163,27 @@ class Theory:
         return self.classify(Atom(name))
 
     def classify(self, phi: Formula) -> PropStatus:
-        """Provable if entailed, refutable if the negation is, else undecidable."""
+        """Provable if true in every model, refutable if in none, else undecidable."""
         status = self._status.get(phi)
         if status is None:
-            stray = atoms_of(phi) - self.vocabulary
-            if stray:
+            try:
+                truth = self._table(phi)
+            except KeyError:
+                stray = atoms_of(phi) - self.vocabulary
                 raise UnknownAtomError(
                     f"formula {phi} uses atom(s) {', '.join(sorted(stray))} "
                     f"outside the vocabulary of theory {self.name!r}"
-                )
-            status = self._decide(phi)
+                ) from None
+            models = self._models
+            held = models & truth
+            if held == models:
+                status = PropStatus.PROVABLE
+            elif not held:
+                status = PropStatus.REFUTABLE
+            else:
+                status = PropStatus.UNDECIDABLE
             self._status[phi] = status
         return status
-
-    def _decide(self, phi: Formula) -> PropStatus:
-        """The status of phi from the witnesses and at most one search."""
-        holds = classical.eval_formula(phi, self._witnesses[0])
-        if any(classical.eval_formula(phi, w) is not holds for w in self._witnesses[1:]):
-            return PropStatus.UNDECIDABLE
-        model = classical.find_model(self.axioms + (Not(phi) if holds else phi,))
-        if model is None:
-            return PropStatus.PROVABLE if holds else PropStatus.REFUTABLE
-        self._witnesses.append({name: model.get(name, False) for name in self.vocabulary})
-        return PropStatus.UNDECIDABLE
 
     def is_legal(self, phi: Formula) -> bool:
         """Membership in this theory's theory syntax (layered rule)."""
@@ -277,16 +271,8 @@ class Theory:
             exact.append(level)
             cumulative |= level
 
-        models = [
-            v
-            for v in classical.valuations(tuple(sorted(self.vocabulary)))
-            if all(classical.eval_formula(ax, v) for ax in self.axioms)
-        ]
-        return frozenset(
-            phi
-            for phi in cumulative
-            if all(classical.eval_formula(phi, v) for v in models)
-        )
+        models = self._models
+        return frozenset(phi for phi in cumulative if (self._table(phi) & models) == models)
 
 
 # --------------------------------------------------------------------------

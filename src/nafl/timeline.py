@@ -25,7 +25,6 @@ from bisect import bisect_right
 from operator import attrgetter
 from typing import Sequence
 
-from . import classical
 from .errors import (
     BeforeExperimentError,
     IllegalPropositionError,
@@ -191,13 +190,14 @@ class Timeline:
             raise UnprovableRetroError(
                 f"{phi} is not provable in {theory.name!r} at time {at}"
             )
-        bridge: Formula | None = None
-        for epoch in self.epochs:
-            for declared in epoch.delta:
-                if classical.entails(self.base.axioms + (declared,), phi):
-                    bridge = declared
-                    break
-            if bridge is not None:
+        # The first declaration that proves phi with the base axioms alone:
+        # every model of the base plus it lies inside phi's table.
+        base, bridge = self.base, None
+        truth = base._table(phi)
+        for declared in (d for epoch in self.epochs for d in epoch.delta):
+            models = base._models & base._table(declared)
+            if (models & truth) == models:
+                bridge = declared
                 break
         record = RetroAssertion(at, start, end, phi, bridge)
         return Timeline(self.base, self.epochs, self.retro_assertions + (record,))

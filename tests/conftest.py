@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import nafl
-from nafl import classical
+from nafl.theories import Theory
 
 SRC = str(Path(nafl.__file__).resolve().parents[1])
 
@@ -30,9 +30,9 @@ def run_python():
 
 
 @pytest.fixture
-def search_calls(monkeypatch):
-    """Every model search run during the test, as a list of argument tuples."""
+def table_calls(monkeypatch):
+    """Every truth table a Theory computes during the test, as a list of formulas."""
     calls = []
-    search = classical.find_model
-    monkeypatch.setattr(classical, "find_model", lambda *args: calls.append(args) or search(*args))
+    compute = Theory._table
+    monkeypatch.setattr(Theory, "_table", lambda self, phi: calls.append(phi) or compute(self, phi))
     return calls

@@ -1,4 +1,4 @@
-"""The backtracking search must agree with exhaustive enumeration."""
+"""The truth-table kernel must agree with exhaustive enumeration."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,7 @@ from nafl.errors import VocabularyError
 from nafl.syntax import And, Atom, Iff, Implies, Not, Or, parse_formula as pf
 
 
-# The oracle: exhaustive valuation enumeration, independent of the search.
+# The oracle: exhaustive valuation enumeration, independent of the tables.
 
 
 def is_satisfiable_by_enumeration(axioms):
@@ -85,6 +85,16 @@ def test_vocabulary_cap():
         is_satisfiable(axioms)
     with pytest.raises(VocabularyError):
         entails(axioms, pf("A0"))
+
+
+def test_sixteen_atoms_is_the_entailment_bound():
+    axioms = [pf(f"A{i}") for i in range(16)]
+    assert is_satisfiable(axioms)
+    assert entails(axioms, pf("A0 & A15"))
+    for check in (lambda: is_satisfiable(axioms + [pf("A16")]), lambda: entails(axioms, pf("A16"))):
+        with pytest.raises(VocabularyError) as info:
+            check()
+        assert str(info.value) == "17 atoms exceed the supported bound of 16"
 
 
 def test_routes_agree_on_fixed_cases():

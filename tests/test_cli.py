@@ -85,11 +85,35 @@ def test_check_query_outside_the_vocabulary_exits_1(tmp_path, capsys):
     assert "Z" in err
 
 
+def test_check_seventeen_atoms_exits_1(tmp_path, capsys):
+    path = tmp_path / "wide.thy"
+    names = " ".join(f"A{i}" for i in range(17))
+    path.write_text(f"theory W\natoms {names}\naxiom A0\n", encoding="utf-8")
+    assert run(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: theory 'W' declares 17 atoms; the supported bound is 16\n"
+
+
 def test_check_inconsistency_exits_2(tmp_path, capsys):
     path = tmp_path / "inc.thy"
     path.write_text("theory T\natoms A\naxiom A\naxiom ~A\n", encoding="utf-8")
     assert run(["check", str(path)]) == 2
     assert "inconsistent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize("command", ["check", "run", "duality"])
+def test_unreadable_input_file_exits_1(command, kind, tmp_path, capsys):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    assert run([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 # -- run / duality ------------------------------------------------------------
@@ -276,6 +300,12 @@ def test_sim_config_file_with_flag_override(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("wibble = 3\n", encoding="utf-8")
     assert run(["sim", "--config", str(bad)]) == 1
+    capsys.readouterr()
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe")
+    for unreadable in (binary, tmp_path):
+        assert run(["sim", "--config", str(unreadable)]) == 1
+        assert capsys.readouterr().err.startswith("error: config file: ")
 
 
 def test_sim_no_grid(capsys):

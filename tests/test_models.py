@@ -14,7 +14,7 @@ from nafl.models import (
     nc_eval,
 )
 from nafl.syntax import And, Atom, Iff, Implies, Not, Or, parse_formula as pf, to_nnf
-from nafl.theories import Theory
+from nafl.theories import PropStatus, Theory
 
 
 def test_empty_theory_over_one_atom_has_two_models():
@@ -46,9 +46,21 @@ def test_classical_model_lookup():
 
 
 def test_model_vocab_cap():
-    wide = Theory("W", frozenset(f"A{i}" for i in range(17)), ())
+    # Theory refuses 17 atoms itself, so no theory past the bound reaches
+    # classical_models.
     with pytest.raises(VocabularyError):
-        classical_models(wide)
+        classical_models(Theory("W", frozenset(f"A{i}" for i in range(17)), ()))
+
+
+def test_sixteen_atoms_give_classical_and_superposed_models():
+    names = [f"A{i:02d}" for i in range(16)]
+    chain = Theory("C", names, [pf(f"{a} -> {b}") for a, b in zip(names, names[1:])])
+    assert chain.classify(pf("A00 -> A15")) is PropStatus.PROVABLE
+    assert chain.classify(pf("A15 -> A00")) is PropStatus.UNDECIDABLE
+    # a model is a run of False followed by a run of True
+    found = {tuple(v for _, v in m.assignment) for m in classical_models(chain)}
+    assert found == {(False,) * k + (True,) * (16 - k) for k in range(17)}
+    assert build_nonclassical(chain).superposed_atoms == frozenset(names)
 
 
 def test_superposed_model_over_undecided_atoms():

@@ -150,6 +150,16 @@ def test_vocabulary_is_enforced():
         Theory("X", frozenset(f"A{i}" for i in range(25)), ())
 
 
+def test_sixteen_atoms_is_the_vocabulary_bound():
+    names = [f"A{i}" for i in range(16)]
+    theory = Theory("X", names, [pf("A0"), pf("A0 -> A1")])
+    assert theory.classify(pf("A1")) is PropStatus.PROVABLE
+    assert theory.classify(pf("A15")) is PropStatus.UNDECIDABLE
+    with pytest.raises(VocabularyError) as info:
+        Theory("X", names + ["A16"], ())
+    assert str(info.value) == "theory 'X' declares 17 atoms; the supported bound is 16"
+
+
 # -- extension ------------------------------------------------------------------
 
 
@@ -270,25 +280,25 @@ query R
 """
 
 
-# Counts model searches while theories check formulas that are decided
-# but mix decided atoms with one undecided atom, both in construction (the
-# axiom is rejected) and in is_legal. The layered rule stops at the first
-# undecided atom, so the count depends on the order the atoms are visited.
-SEARCH_PROBE = """
-from nafl import classical
+# Counts the truth tables theories compute while they check formulas that
+# are decided but mix decided atoms with one undecided atom, both in
+# construction (the axiom is rejected) and in is_legal. The layered rule
+# stops at the first undecided atom, so the count depends on the order the
+# atoms are visited.
+TABLE_PROBE = """
 from nafl.errors import IllegalAxiomError
 from nafl.syntax import parse_formula
 from nafl.theories import Theory
 
 calls = 0
-find_model = classical.find_model
+compute = Theory._table
 
-def counted(*args):
+def counted(self, phi):
     global calls
     calls += 1
-    return find_model(*args)
+    return compute(self, phi)
 
-classical.find_model = counted
+Theory._table = counted
 decided = [parse_formula(name) for name in "ABCDEF"]
 for name in "GHIJKL":
     mixed = parse_formula(f"({name} | ~{name}) | (A & B & C & D & E & F)")
@@ -303,7 +313,7 @@ print(calls)
 
 def test_entailment_count_does_not_depend_on_the_hash_seed(run_python):
     counts = {
-        run_python(SEARCH_PROBE, PYTHONHASHSEED=seed) for seed in ("0", "1", "2")
+        run_python(TABLE_PROBE, PYTHONHASHSEED=seed) for seed in ("0", "1", "2")
     }
     assert len(counts) == 1
     assert int(counts.pop()) > 0
@@ -350,54 +360,54 @@ def chain(length):
     return Theory("chain", names, axioms)
 
 
-def test_a_second_classify_runs_no_search(search_calls):
+def test_a_second_classify_computes_no_table(table_calls):
     theory = chain(3)
     phi = pf("A3 -> A0")
+    table_calls.clear()
     assert theory.classify(phi) is PropStatus.UNDECIDABLE
-    first = len(search_calls)
-    assert first > 0
+    assert table_calls == [phi]
     assert theory.classify(phi) is PropStatus.UNDECIDABLE
     assert theory.classify(pf("A3 -> A0")) is PropStatus.UNDECIDABLE
-    assert theory.is_legal(phi)  # legal because undecided: no further search
-    assert len(search_calls) == first
+    assert theory.is_legal(phi)  # legal because undecided: no further table
+    assert table_calls == [phi]
 
 
-def test_atom_status_and_classify_share_one_memo(search_calls):
+def test_atom_status_and_classify_share_one_memo(table_calls):
     theory = chain(2)
     assert theory.atom_status("A1") is PropStatus.UNDECIDABLE
-    searched = len(search_calls)
+    computed = len(table_calls)
     assert theory.classify(pf("A1")) is PropStatus.UNDECIDABLE
-    assert len(search_calls) == searched
+    assert len(table_calls) == computed
 
 
-def test_extend_checks_only_the_delta(search_calls):
+def test_extend_checks_only_the_delta(table_calls):
     costs = []
     for length in (2, 12):
         theory = chain(length)
-        before = len(search_calls)
+        before = len(table_calls)
         theory.extend([pf("A0")])
-        costs.append(len(search_calls) - before)
-    assert costs[0] == costs[1] > 0
+        costs.append(len(table_calls) - before)
+    # one table to classify the new axiom, one to narrow the models
+    assert costs == [2, 2]
 
 
-def test_a_formula_the_witnesses_split_runs_no_search(search_calls):
+def test_formulas_equivalent_to_a_decided_one_cost_one_table_each(table_calls):
     theory = chain(3)
     assert theory.classify(pf("A0")) is PropStatus.UNDECIDABLE
-    # the witnesses now disagree on A0, so on anything equivalent to it
-    search_calls.clear()
-    assert theory.classify(pf("A0 & (A3 | ~A3)")) is PropStatus.UNDECIDABLE
-    assert theory.classify(pf("~~A0")) is PropStatus.UNDECIDABLE
-    assert search_calls == []
+    table_calls.clear()
+    same = [pf("A0 & (A3 | ~A3)"), pf("~~A0")]
+    assert [theory.classify(phi) for phi in same] == [PropStatus.UNDECIDABLE] * 2
+    assert table_calls == same
 
 
 @pytest.mark.parametrize(
     "text", ["A0", "A4", "~A2", "A0 -> A4", "A0 & ~A4", "A2 <-> A3", "A4 -> A0", "A1 | ~A1"]
 )
-def test_a_fresh_formula_costs_at_most_one_search(search_calls, text):
+def test_a_fresh_formula_costs_at_most_one_search(table_calls, text):
     theory = chain(4)
-    search_calls.clear()
+    table_calls.clear()
     theory.classify(pf(text))
-    assert len(search_calls) <= 1
+    assert table_calls == [pf(text)]
 
 
 # -- inheritance through extend agrees with a fresh theory and the oracle --------
@@ -440,6 +450,24 @@ def _oracle_legal(axioms, phi):
     )
 
 
+def _oracle_models(names, axioms):
+    return {
+        tuple(sorted(v.items()))
+        for v in classical.valuations(names)
+        if all(classical.eval_formula(axiom, v) for axiom in axioms)
+    }
+
+
+def _table_models(theory):
+    """The valuations set in a theory's table: bit k of index i is atom k's value."""
+    vocab = sorted(theory.vocabulary)
+    return {
+        tuple((name, bool(i >> k & 1)) for k, name in enumerate(vocab))
+        for i in range(1 << len(vocab))
+        if theory._models >> i & 1
+    }
+
+
 def _built(name, names, axioms):
     try:
         return Theory(name, names, axioms)
@@ -459,15 +487,13 @@ def test_extend_chains_agree_with_fresh_theories_and_the_oracle(case):
         for phi in queries:
             status = _oracle_status(grown.axioms, phi)
             legal = _oracle_legal(grown.axioms, phi)
-            with patch.object(classical, "find_model", wraps=classical.find_model) as search:
+            with patch.object(Theory, "_table", autospec=True, side_effect=Theory._table) as table:
                 assert grown.classify(phi) is status
-            assert search.call_count <= 1
+            assert table.call_count <= 1
             assert fresh.classify(phi) is status
             assert grown.is_legal(phi) is fresh.is_legal(phi) is legal
-        for theory in (grown, fresh):
-            for witness in theory._witnesses:
-                assert set(witness) == set(names)
-                assert all(classical.eval_formula(axiom, witness) for axiom in theory.axioms)
+        models = _oracle_models(names, grown.axioms)
+        assert _table_models(grown) == _table_models(fresh) == models
         if delta is None:
             return
         try:

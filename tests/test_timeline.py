@@ -104,16 +104,16 @@ def test_truth_follows_declarations():
     assert tl.truth_at(3.0, pf("P & Q")) is TruthValue.TRUE
 
 
-def test_truth_decides_each_formula_once(search_calls):
+def test_truth_decides_each_formula_once(table_calls):
     tl, fresh = two_epochs(), base()
-    search_calls.clear()
+    table_calls.clear()
     fresh.classify(pf("P -> Q"))
-    one_decision = len(search_calls)
-    search_calls.clear()
+    one_decision = len(table_calls)
+    table_calls.clear()
     assert tl.truth_at(0.0, pf("P -> Q")) is TruthValue.NEITHER
-    assert len(search_calls) == one_decision
+    assert len(table_calls) == one_decision
     assert tl.truth_at(1.0, pf("P -> Q")) is TruthValue.NEITHER
-    assert len(search_calls) == one_decision
+    assert len(table_calls) == one_decision
 
 
 def test_truth_rejects_illegal_formulas():

@@ -78,13 +78,19 @@ def test_positional_and_keyword_match_patterns():
     assert _shape(pf("P -> Q")) == "other"
 
 
-def test_theory_equality_ignores_the_memo_and_the_witnesses():
+def test_theory_equality_ignores_the_memo_and_the_models():
     fresh = Theory("T", {"P", "Q"}, (pf("Q -> P"),))
     used = Theory("T", {"P", "Q"}, (pf("Q -> P"),))
     used.classify(pf("P & Q"))
     used.classify(pf("P"))
-    assert used._status and used._witnesses != fresh._witnesses
+    assert used._status and not fresh._status
     assert used == fresh and hash(used) == hash(fresh)
+    # the same fields over every valuation: other models, still equal
+    loose = Theory._trusted(
+        "T", fresh.vocabulary, fresh.axioms, fresh._full, fresh._columns, fresh._full
+    )
+    assert loose._models != fresh._models
+    assert loose == fresh and hash(loose) == hash(fresh)
     assert repr(used) == (
         f"Theory(name='T', vocabulary={frozenset({'P', 'Q'})!r}, "
         "axioms=(Implies(left=Atom(name='Q'), right=Atom(name='P')),))"
