@@ -52,6 +52,7 @@ from .errors import (
     UnknownAtomError,
     UnknownTokenError,
     UnprovableRetroError,
+    UnreadableFileError,
     VocabularyError,
 )
 from .models import (
@@ -188,6 +189,7 @@ __all__ = [
     "UnknownAtomError",
     "UnknownTokenError",
     "UnprovableRetroError",
+    "UnreadableFileError",
     "VocabularyError",
     "analytic_blocked_fraction",
     "assign_duality",

@@ -35,9 +35,11 @@ from .errors import (
     ScenarioValidationError,
     TooFewSamplesError,
     UnknownAtomError,
+    UnreadableFileError,
     VocabularyError,
+    read_text,
 )
-from .scenarios import builtin_names, load_scenario, parse_scenario, run_scenario
+from .scenarios import builtin_names, load_scenario, run_scenario
 from .simchoices import ENVELOPES, MODES
 from .syntax import format_formula, parse_formula
 from .theories import Theory, parse_theory
@@ -55,28 +57,13 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-class _UnreadableFile(ValueError):
-    """A file named on the command line cannot be read as UTF-8 text.
-
-    A ValueError, so ``sim --config`` reports it like a bad setting."""
-
-
-def _read_file(path: str) -> str:
-    """The text of a theory, scenario or config file; ``main`` reports a
-    file it cannot read as malformed input."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _UnreadableFile(str(exc)) from None
-
-
 # --------------------------------------------------------------------------
 # check
 # --------------------------------------------------------------------------
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    text = _read_file(args.file)
+    text = read_text(args.file)
     try:
         theory, queries = parse_theory(text)
     except (ParseError, UnknownAtomError, VocabularyError) as exc:
@@ -112,19 +99,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _load_and_run(source: str):
-    # A path that exists is read here, so an unreadable one is an error line;
-    # load_scenario resolves built-in names and reports missing files.
-    if Path(source).exists():
-        scenario = parse_scenario(_read_file(source))
-    else:
-        scenario = load_scenario(source)
-    return run_scenario(scenario)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        report = _load_and_run(args.scenario)
+        report = run_scenario(load_scenario(args.scenario))
     except (ScenarioParseError, ScenarioValidationError, ParseError) as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
     except ScenarioExecutionError as exc:
@@ -139,7 +116,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_duality(args: argparse.Namespace) -> int:
     try:
-        report = _load_and_run(args.scenario)
+        report = run_scenario(load_scenario(args.scenario))
     except (ScenarioParseError, ScenarioValidationError, ParseError) as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
     except ScenarioExecutionError as exc:
@@ -167,7 +144,7 @@ _CONFIG_FIELDS = {
 
 def _read_config_file(path: str) -> dict:
     values: dict = {}
-    for number, raw in enumerate(_read_file(path).splitlines(), 1):
+    for number, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -192,7 +169,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
     if args.config:
         try:
             settings.update(_read_config_file(args.config))
-        except ValueError as exc:
+        except (ValueError, UnreadableFileError) as exc:
             return _fail(f"config file: {exc}", EXIT_BAD_INPUT)
     for name in (
         "photons", "seed", "period", "half_extent", "wire_width",
@@ -430,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UnreadableFile as exc:
+    except UnreadableFileError as exc:  # a theory or scenario file
         return _fail(str(exc), EXIT_BAD_INPUT)
 
 

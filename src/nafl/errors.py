@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by every layer of the package."""
+"""Exception hierarchy shared by every layer of the package, and the one
+reader of input files, which turns an unreadable file into one of them."""
 
 from __future__ import annotations
 
@@ -97,3 +98,16 @@ class ScenarioExecutionError(ScenarioError):
 
 class TooFewSamplesError(NaflError):
     """Histogram bins too thin for a chi-square test (expected count < 5)."""
+
+
+class UnreadableFileError(NaflError):
+    """A theory, scenario or config file that cannot be read as UTF-8 text."""
+
+
+def read_text(path: str) -> str:
+    """The text of an input file; UnreadableFileError names why it has none."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableFileError(str(exc)) from None

@@ -36,6 +36,7 @@ from .errors import (
     ScenarioExecutionError,
     ScenarioParseError,
     ScenarioValidationError,
+    read_text,
 )
 from .record import record
 from .syntax import Atom, Formula, atoms_of, parse_formula
@@ -323,15 +324,13 @@ def builtin_scenario(name: str) -> Scenario:
         raise ScenarioValidationError(
             f"no builtin scenario {name!r}; available: {', '.join(builtin_names())}"
         )
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+    return parse_scenario(read_text(path))
 
 
 def load_scenario(path_or_name: str) -> Scenario:
     """Load a scenario file, or a built-in when the argument names one."""
     if os.path.exists(path_or_name):
-        with open(path_or_name, "r", encoding="utf-8") as handle:
-            return parse_scenario(handle.read())
+        return parse_scenario(read_text(path_or_name))
     if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", path_or_name):
         return builtin_scenario(path_or_name)
     raise ScenarioValidationError(f"no scenario file at {path_or_name!r}")

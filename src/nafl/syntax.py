@@ -12,6 +12,19 @@ is a ParseError. The cap keeps the parser and every recursive pass over the
 tree (printer, normal form, evaluation, truth tables) far inside Python's
 recursion limit.
 
+Reading is one scan and one precedence-climbing loop (Pratt, "Top down
+operator precedence", POPL 1973):
+
+- The scan is one ``findall`` of ``_SCAN`` over the whole text. It skips
+  whitespace and yields plain strings; a non-space character outside the
+  grammar becomes a token of its own, so the scan never stops early.
+- ``_BINARY`` gives each binary operator its binding power: ``&`` 4, ``|`` 3,
+  ``->`` 2, ``<->`` 1. ``->`` reads its right side at its own power, so it
+  groups to the right; the other three loop, so they group to the left.
+- Tokens carry no position. Only an error scans the text again, to find the
+  line and column of its token. A token outside the grammar is reported in
+  preference to any other error, as if the scan had stopped at it.
+
 ``~~A`` stays structurally distinct from ``A``: double negation is simplified
 semantically, never by rewriting the tree.
 """
@@ -19,7 +32,6 @@ semantically, never by rewriting the tree.
 from __future__ import annotations
 
 import re
-from typing import Iterator, NamedTuple
 
 from .errors import ParseError, UnknownTokenError
 from .record import frozen_delattr, frozen_setattr
@@ -137,157 +149,128 @@ def atoms_of(formula: Formula) -> frozenset[str]:
 
 
 # --------------------------------------------------------------------------
-# Tokenizer
+# Scanner
 # --------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<atom>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<iff><->)"
-    r"|(?P<implies>->)"
-    r"|(?P<op>[~&|()])"
-)
-
-
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> Iterator[_Token]:
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise UnknownTokenError(
-                f"unknown token {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = match.lastgroup or ""
-        value = match.group()
-        if kind == "ws":
-            for i, ch in enumerate(value):
-                if ch == "\n":
-                    line += 1
-                    line_start = pos + i + 1
-        elif kind == "op":
-            yield _Token(value, value, line, pos - line_start + 1)
-        else:
-            yield _Token(kind, value, line, pos - line_start + 1)
-        pos = match.end()
-    yield _Token("eof", "", line, len(text) - line_start + 1)
+# One match per token: an atom, an arrow, a one-character operator, or any
+# other non-space character, which is a token outside the grammar.
+_SCAN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|<->|->|[~&|()]|\S")
+_ATOM_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# The one-character tokens of the grammar; every other one is unknown.
+_KNOWN_CHARS = _ATOM_START | frozenset("~&|()")
 
 
 # --------------------------------------------------------------------------
-# Recursive-descent parser
+# Precedence-climbing parser
 # --------------------------------------------------------------------------
 
+# Binding power and node class of each binary operator, tightest first.
+_BINARY = {"&": (4, And), "|": (3, Or), "->": (2, Implies), "<->": (1, Iff)}
 
 # Deepest nesting the parser accepts; see the module docstring.
 MAX_DEPTH = 100
 
 
 class _Parser:
-    """Recursive descent; each production leaves its tree's depth in ``depth``."""
+    """Precedence climbing over the scanned tokens, ``""`` ending the list.
 
-    def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
-        self.index = 0
-        self.depth = 0
-        self.open = 0  # parentheses, negations and arrows not yet closed
+    ``index`` is the next token, ``depth`` the depth of the subtree just
+    parsed, and ``open`` the number of parentheses, negations and arrows
+    whose operand is being parsed, which bounds the recursion.
+    """
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
+    __slots__ = ("text", "tokens", "index", "depth", "open")
 
-    def advance(self) -> _Token:
-        token = self.current
-        self.index += 1
-        return token
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens = _SCAN.findall(text)
+        self.tokens.append("")
+        self.index = self.depth = self.open = 0
 
-    def expect(self, kind: str) -> _Token:
-        if self.current.kind != kind:
-            tok = self.current
-            shown = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {kind!r}, found {shown!r}", tok.line, tok.column)
-        return self.advance()
+    def error(self, k: int, message: str) -> ParseError:
+        """The error at token ``k``, or at the first token outside the grammar.
 
-    def nest(self, depth: int, tok: _Token) -> int:
-        """One level below ``depth``, or ParseError past MAX_DEPTH."""
+        The parser accepts no token outside the grammar, so text that holds
+        one always ends here, and reporting that token first gives the error
+        of a scan that stops at it. Line and column are found only now.
+        """
+        kind = ParseError
+        for j, token in enumerate(self.tokens):
+            if len(token) == 1 and token not in _KNOWN_CHARS:
+                k, message, kind = j, f"unknown token {token!r}", UnknownTokenError
+                break
+        text = self.text
+        offset = len(text)  # the end of input
+        for j, match in enumerate(_SCAN.finditer(text)):
+            if j == k:
+                offset = match.start()
+                break
+        line = text.count("\n", 0, offset) + 1
+        return kind(message, line, offset - text.rfind("\n", 0, offset))
+
+    def shown(self, k: int) -> str:
+        return self.tokens[k] or "end of input"
+
+    def nest(self, depth: int, k: int) -> int:
+        """One level below ``depth``, or ParseError at token ``k`` past MAX_DEPTH."""
         if depth >= MAX_DEPTH:
-            raise ParseError(
-                f"formula nests deeper than {MAX_DEPTH} levels", tok.line, tok.column
-            )
+            raise self.error(k, f"formula nests deeper than {MAX_DEPTH} levels")
         return depth + 1
 
-    def inner(self, tok: _Token, production) -> Formula:
-        """Recurse into ``production``; the open count bounds the stack."""
-        self.nest(self.open, tok)
+    def inner(self, k: int, production, *args) -> Formula:
+        """``production(*args)`` inside the construct opened at token ``k``."""
+        self.nest(self.open, k)
         self.open += 1
-        node = production()
+        node = production(*args)
         self.open -= 1
         return node
 
     def parse(self) -> Formula:
-        formula = self.bicond()
-        if self.current.kind != "eof":
-            tok = self.current
-            raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.column)
-        return formula
-
-    def bicond(self) -> Formula:
-        node = self.impl()
-        while self.current.kind == "iff":
-            depth, tok = self.depth, self.advance()
-            node = Iff(node, self.impl())
-            self.depth = self.nest(max(depth, self.depth), tok)
+        node = self.binary(1)
+        trailing = self.tokens[self.index]
+        if trailing:
+            raise self.error(self.index, f"unexpected trailing {trailing!r}")
         return node
 
-    def impl(self) -> Formula:
-        node = self.disj()
-        if self.current.kind == "implies":
-            depth, tok = self.depth, self.advance()
-            node = Implies(node, self.inner(tok, self.impl))
-            self.depth = self.nest(max(depth, self.depth), tok)
-        return node
-
-    def disj(self) -> Formula:
-        node = self.conj()
-        while self.current.kind == "|":
-            depth, tok = self.depth, self.advance()
-            node = Or(node, self.conj())
-            self.depth = self.nest(max(depth, self.depth), tok)
-        return node
-
-    def conj(self) -> Formula:
+    def binary(self, level: int) -> Formula:
+        """Operands joined by the operators that bind at ``level`` or tighter."""
         node = self.unary()
-        while self.current.kind == "&":
-            depth, tok = self.depth, self.advance()
-            node = And(node, self.unary())
-            self.depth = self.nest(max(depth, self.depth), tok)
-        return node
+        tokens = self.tokens
+        while True:
+            k = self.index
+            entry = _BINARY.get(tokens[k])
+            if entry is None or entry[0] < level:
+                return node
+            power, build = entry
+            self.index = k + 1
+            depth = self.depth
+            if build is Implies:  # right associative: the right side nests
+                right = self.inner(k, self.binary, power)
+            else:
+                right = self.binary(power + 1)
+            node = build(node, right)
+            self.depth = self.nest(max(depth, self.depth), k)
 
     def unary(self) -> Formula:
-        tok = self.current
-        if tok.kind == "~":
-            self.advance()
-            node = Not(self.inner(tok, self.unary))
-            self.depth = self.nest(self.depth, tok)
-            return node
-        if tok.kind == "atom":
-            self.advance()
+        """An atom, a negation or a parenthesised formula."""
+        k = self.index
+        token = self.tokens[k]
+        self.index = k + 1
+        if token and token[0] in _ATOM_START:
             self.depth = 0
-            return Atom(tok.text)
-        if tok.kind == "(":
-            self.advance()
-            node = self.inner(tok, self.bicond)
-            self.expect(")")
-            self.depth = self.nest(self.depth, tok)
+            return Atom(token)
+        if token == "~":
+            node = Not(self.inner(k, self.unary))
+            self.depth = self.nest(self.depth, k)
             return node
-        shown = tok.text if tok.kind != "eof" else "end of input"
-        raise ParseError(f"expected a formula, found {shown!r}", tok.line, tok.column)
+        if token == "(":
+            node = self.inner(k, self.binary, 1)
+            if self.tokens[self.index] != ")":
+                raise self.error(self.index, f"expected ')', found {self.shown(self.index)!r}")
+            self.index += 1
+            self.depth = self.nest(self.depth, k)
+            return node
+        raise self.error(k, f"expected a formula, found {self.shown(k)!r}")
 
 
 def parse_formula(text: str) -> Formula:

@@ -48,6 +48,7 @@ from .errors import (
     ParseError,
     UnknownAtomError,
     VocabularyError,
+    read_text,
 )
 from .record import record
 from .syntax import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of, parse_formula
@@ -316,7 +317,9 @@ def parse_theory(text: str) -> tuple[Theory, list[Formula]]:
             try:
                 formula = parse_formula(rest)
             except ParseError as exc:
-                raise ParseError(exc.raw_message, lineno, exc.column) from exc
+                # the formula's column counts from where it starts in the line
+                start = raw.index(rest, raw.index(directive) + len(directive))
+                raise ParseError(exc.raw_message, lineno, start + exc.column) from exc
             (axioms if directive == "axiom" else queries).append(formula)
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno)
@@ -327,5 +330,4 @@ def parse_theory(text: str) -> tuple[Theory, list[Formula]]:
 
 
 def load_theory(path: str) -> tuple[Theory, list[Formula]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_theory(handle.read())
+    return parse_theory(read_text(path))

@@ -20,3 +20,9 @@ _spec.loader.exec_module(golden)
 def test_cli_output_matches_the_golden_file(case):
     stored = Path(golden.path_of(case)).read_bytes()
     assert golden.capture(golden.cases()[case]).encode("utf-8") == stored
+
+
+def test_every_golden_file_belongs_to_a_case():
+    # a file whose case is gone would otherwise go stale unchecked
+    stored = {path.stem for path in Path(golden.HERE).glob("*.txt")}
+    assert stored == set(golden.cases())

@@ -6,6 +6,7 @@ from nafl.errors import (
     ScenarioExecutionError,
     ScenarioParseError,
     ScenarioValidationError,
+    UnreadableFileError,
 )
 from nafl.scenarios import (
     DeclareEvent,
@@ -17,6 +18,7 @@ from nafl.scenarios import (
     run_scenario,
 )
 from nafl.syntax import parse_formula as pf
+from nafl.theories import load_theory
 
 MINIMAL = """\
 scenario wire_probe
@@ -129,6 +131,18 @@ def test_load_scenario_from_path_or_name(tmp_path):
         load_scenario("no_such_builtin")
     with pytest.raises(ScenarioValidationError):
         load_scenario(str(tmp_path / "missing.scn"))
+
+
+@pytest.mark.parametrize("load", [load_theory, load_scenario])
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_loaders_raise_a_nafl_error_on_an_unreadable_file(load, kind, tmp_path):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    with pytest.raises(UnreadableFileError):
+        load(str(path))
 
 
 def test_run_produces_epochs_and_truth_rows():

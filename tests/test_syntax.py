@@ -1,7 +1,11 @@
-"""Grammar, printer, and NNF conversion."""
+"""Grammar, printer, and NNF conversion; the parser against its oracle."""
+
+import itertools
+import re
+from typing import Iterator, NamedTuple
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nafl.classical import eval_formula
 from nafl.errors import ParseError, UnknownTokenError
@@ -9,6 +13,7 @@ from nafl.syntax import (
     MAX_DEPTH,
     And,
     Atom,
+    Formula,
     Iff,
     Implies,
     Not,
@@ -85,19 +90,19 @@ def _chain(operator, operands):
     return f" {operator} ".join(["A"] * operands)
 
 
-@pytest.mark.parametrize(
-    "nest",
-    [
-        lambda n: "(" * n + "A" + ")" * n,
-        lambda n: "~" * n + "A",
-        lambda n: "~(" * (n // 2) + "A" + ")" * (n // 2),
-        lambda n: _chain("&", n + 1),
-        lambda n: _chain("|", n + 1),
-        lambda n: _chain("->", n + 1),
-        lambda n: _chain("<->", n + 1),
-    ],
-    ids=["parens", "negations", "mixed", "and", "or", "implies", "iff"],
-)
+# Text nested n levels deep, in each shape the cap must count the same way.
+_NESTINGS = {
+    "parens": lambda n: "(" * n + "A" + ")" * n,
+    "negations": lambda n: "~" * n + "A",
+    "mixed": lambda n: "~(" * (n // 2) + "A" + ")" * (n // 2),
+    "and": lambda n: _chain("&", n + 1),
+    "or": lambda n: _chain("|", n + 1),
+    "implies": lambda n: _chain("->", n + 1),
+    "iff": lambda n: _chain("<->", n + 1),
+}
+
+
+@pytest.mark.parametrize("nest", list(_NESTINGS.values()), ids=list(_NESTINGS))
 def test_nesting_cap_sits_at_max_depth(nest):
     deepest = parse_formula(nest(MAX_DEPTH))
     # the tree at the cap stays within reach of the recursive printer and evaluator
@@ -107,11 +112,15 @@ def test_nesting_cap_sits_at_max_depth(nest):
         parse_formula(nest(MAX_DEPTH + 2))
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["(" * 200 + "A" + ")" * 200, "~" * 1000 + "A", _chain("&", 3000), _chain("->", 3000)],
-    ids=["parens", "negations", "and", "implies"],
-)
+_DEEP = {
+    "parens": "(" * 200 + "A" + ")" * 200,
+    "negations": "~" * 1000 + "A",
+    "and": _chain("&", 3000),
+    "implies": _chain("->", 3000),
+}
+
+
+@pytest.mark.parametrize("text", list(_DEEP.values()), ids=list(_DEEP))
 def test_deep_nesting_is_a_parse_error_not_a_recursion_error(text):
     with pytest.raises(ParseError) as info:
         parse_formula(text)
@@ -180,3 +189,233 @@ def test_nnf_examples():
     assert to_nnf(parse_formula("~(A | B)")) == And(Not(Atom("A")), Not(Atom("B")))
     assert to_nnf(parse_formula("A -> B")) == Or(Not(Atom("A")), Atom("B"))
     assert to_nnf(parse_formula("~~A")) == Atom("A")
+
+
+# --------------------------------------------------------------------------
+# The oracle: the recursive-descent reader that the scanner and precedence
+# climbing replaced. It tokenizes eagerly, with a line and column per token,
+# and has one production per precedence level.
+# --------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<atom>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<iff><->)"
+    r"|(?P<implies>->)"
+    r"|(?P<op>[~&|()])"
+)
+
+
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+def _tokenize(text: str) -> Iterator[_Token]:
+    line, line_start = 1, 0
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None:
+            raise UnknownTokenError(
+                f"unknown token {text[pos]!r}", line, pos - line_start + 1
+            )
+        kind = match.lastgroup or ""
+        value = match.group()
+        if kind == "ws":
+            for i, ch in enumerate(value):
+                if ch == "\n":
+                    line += 1
+                    line_start = pos + i + 1
+        elif kind == "op":
+            yield _Token(value, value, line, pos - line_start + 1)
+        else:
+            yield _Token(kind, value, line, pos - line_start + 1)
+        pos = match.end()
+    yield _Token("eof", "", line, len(text) - line_start + 1)
+
+
+class _DescentParser:
+    """Recursive descent; each production leaves its tree's depth in ``depth``."""
+
+    def __init__(self, text: str):
+        self.tokens = list(_tokenize(text))
+        self.index = 0
+        self.depth = 0
+        self.open = 0  # parentheses, negations and arrows not yet closed
+
+    @property
+    def current(self) -> _Token:
+        return self.tokens[self.index]
+
+    def advance(self) -> _Token:
+        token = self.current
+        self.index += 1
+        return token
+
+    def expect(self, kind: str) -> _Token:
+        if self.current.kind != kind:
+            tok = self.current
+            shown = tok.text if tok.kind != "eof" else "end of input"
+            raise ParseError(f"expected {kind!r}, found {shown!r}", tok.line, tok.column)
+        return self.advance()
+
+    def nest(self, depth: int, tok: _Token) -> int:
+        """One level below ``depth``, or ParseError past MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(
+                f"formula nests deeper than {MAX_DEPTH} levels", tok.line, tok.column
+            )
+        return depth + 1
+
+    def inner(self, tok: _Token, production) -> Formula:
+        """Recurse into ``production``; the open count bounds the stack."""
+        self.nest(self.open, tok)
+        self.open += 1
+        node = production()
+        self.open -= 1
+        return node
+
+    def parse(self) -> Formula:
+        formula = self.bicond()
+        if self.current.kind != "eof":
+            tok = self.current
+            raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.column)
+        return formula
+
+    def bicond(self) -> Formula:
+        node = self.impl()
+        while self.current.kind == "iff":
+            depth, tok = self.depth, self.advance()
+            node = Iff(node, self.impl())
+            self.depth = self.nest(max(depth, self.depth), tok)
+        return node
+
+    def impl(self) -> Formula:
+        node = self.disj()
+        if self.current.kind == "implies":
+            depth, tok = self.depth, self.advance()
+            node = Implies(node, self.inner(tok, self.impl))
+            self.depth = self.nest(max(depth, self.depth), tok)
+        return node
+
+    def disj(self) -> Formula:
+        node = self.conj()
+        while self.current.kind == "|":
+            depth, tok = self.depth, self.advance()
+            node = Or(node, self.conj())
+            self.depth = self.nest(max(depth, self.depth), tok)
+        return node
+
+    def conj(self) -> Formula:
+        node = self.unary()
+        while self.current.kind == "&":
+            depth, tok = self.depth, self.advance()
+            node = And(node, self.unary())
+            self.depth = self.nest(max(depth, self.depth), tok)
+        return node
+
+    def unary(self) -> Formula:
+        tok = self.current
+        if tok.kind == "~":
+            self.advance()
+            node = Not(self.inner(tok, self.unary))
+            self.depth = self.nest(self.depth, tok)
+            return node
+        if tok.kind == "atom":
+            self.advance()
+            self.depth = 0
+            return Atom(tok.text)
+        if tok.kind == "(":
+            self.advance()
+            node = self.inner(tok, self.bicond)
+            self.expect(")")
+            self.depth = self.nest(self.depth, tok)
+            return node
+        shown = tok.text if tok.kind != "eof" else "end of input"
+        raise ParseError(f"expected a formula, found {shown!r}", tok.line, tok.column)
+
+
+def parse_oracle(text: str):
+    return _DescentParser(text).parse()
+
+
+def _outcome(parse, text):
+    """The tree, or the error's class, message, line and column."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), exc.raw_message, exc.line, exc.column
+
+
+def _assert_agrees_with_the_oracle(text):
+    assert _outcome(parse_formula, text) == _outcome(parse_oracle, text), repr(text)
+
+
+def test_every_short_token_sequence_parses_as_the_oracle_does():
+    # Five tokens hold every pair of binary operators between three operands.
+    alphabet = ["A", "~", "&", "|", "->", "<->", "(", ")"]
+    for size in range(6):
+        for tokens in itertools.product(alphabet, repeat=size):
+            _assert_agrees_with_the_oracle(" ".join(tokens))
+
+
+_SOUP = st.lists(
+    st.sampled_from(
+        ["A", "B", "x1", "_q", "~", "&", "|", "->", "<->", "(", ")", " ", "\t", "\n",
+         "@", "é", "-", "<-", "7"]
+    ),
+    max_size=24,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SOUP)
+def test_token_soup_parses_as_the_oracle_does(text):
+    _assert_agrees_with_the_oracle(text)
+
+
+_SYMBOL = {And: (4, "&"), Or: (3, "|"), Implies: (2, "->"), Iff: (1, "<->")}
+
+
+def _render_loosely(node, rng, min_power=0):
+    """Surface text of ``node`` with random whitespace and extra parentheses."""
+    gap = lambda: rng.choice(["", " ", "  ", "\t", "\n", " \n "])  # noqa: E731
+    if isinstance(node, Atom):
+        power, text = 6, node.name
+    elif isinstance(node, Not):
+        power, text = 5, "~" + gap() + _render_loosely(node.operand, rng, 5)
+    else:
+        power, symbol = _SYMBOL[type(node)]
+        # '->' groups to the right, the other three to the left
+        left, right = (power + 1, power) if isinstance(node, Implies) else (power, power + 1)
+        text = (_render_loosely(node.left, rng, left) + gap() + symbol + gap()
+                + _render_loosely(node.right, rng, right))
+    if power < min_power or rng.random() < 0.2:
+        text = "(" + gap() + text + gap() + ")"
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas(max_leaves=12), st.randoms(use_true_random=False))
+def test_loosely_rendered_formulas_parse_as_the_oracle_does(phi, rng):
+    text = rng.choice(["", " ", "\n"]) + _render_loosely(phi, rng) + rng.choice(["", "\t", "\n"])
+    assert parse_formula(text) == phi
+    _assert_agrees_with_the_oracle(text)
+    _assert_agrees_with_the_oracle(format_formula(phi))
+
+
+@pytest.mark.parametrize("excess", range(-2, 3))
+@pytest.mark.parametrize("nest", list(_NESTINGS.values()), ids=list(_NESTINGS))
+def test_deep_inputs_parse_as_the_oracle_does(nest, excess):
+    text = nest(MAX_DEPTH + excess)
+    _assert_agrees_with_the_oracle(text)
+    _assert_agrees_with_the_oracle("\n  " + text + " -> B")
+    _assert_agrees_with_the_oracle("~(" + text + ") @")
+
+
+@pytest.mark.parametrize("text", list(_DEEP.values()), ids=list(_DEEP))
+def test_very_deep_inputs_fail_as_in_the_oracle(text):
+    _assert_agrees_with_the_oracle(text)

@@ -331,7 +331,7 @@ def test_parse_theory_reports_file_lines():
     bad = "theory T\natoms A\naxiom A &\n"
     with pytest.raises(ParseError) as info:
         parse_theory(bad)
-    assert info.value.line == 3
+    assert (info.value.line, info.value.column) == (3, 10)
 
     with pytest.raises(ParseError) as info:
         parse_theory("atoms A\n")
@@ -341,6 +341,21 @@ def test_parse_theory_reports_file_lines():
         parse_theory("theory T\nwibble A\n")
     with pytest.raises(ParseError):
         parse_theory("theory T\ntheory S\n")
+
+
+@pytest.mark.parametrize(
+    "line, column",
+    [
+        ("axiom A & @", 11),
+        ("\taxiom  (A | B  # unclosed", 15),
+        ("   axiom   a &", 15),
+        ("query a | (", 12),
+    ],
+)
+def test_parse_theory_columns_count_from_the_start_of_the_line(line, column):
+    with pytest.raises(ParseError) as info:
+        parse_theory(f"theory T\natoms A B a\n{line}\n")
+    assert (info.value.line, info.value.column) == (3, column)
 
 
 def test_load_theory(tmp_path):
