@@ -42,7 +42,7 @@ from .errors import (
 from .scenarios import builtin_names, load_scenario, run_scenario
 from .simchoices import ENVELOPES, MODES
 from .syntax import format_formula, parse_formula
-from .theories import Theory, parse_theory
+from .theories import Theory, load_theory
 from .timeline import Timeline, format_stamp
 
 EXIT_OK = 0
@@ -63,9 +63,8 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    text = read_text(args.file)
     try:
-        theory, queries = parse_theory(text)
+        theory, queries = load_theory(args.file)
     except (ParseError, UnknownAtomError, VocabularyError) as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
     except IllegalAxiomError as exc:

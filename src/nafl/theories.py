@@ -317,7 +317,7 @@ def parse_theory(text: str) -> tuple[Theory, list[Formula]]:
             try:
                 formula = parse_formula(rest)
             except ParseError as exc:
-                # the formula's column counts from where it starts in the line
+                # exc.column counts within the formula; report it within the line
                 start = raw.index(rest, raw.index(directive) + len(directive))
                 raise ParseError(exc.raw_message, lineno, start + exc.column) from exc
             (axioms if directive == "axiom" else queries).append(formula)

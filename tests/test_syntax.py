@@ -112,19 +112,16 @@ def test_nesting_cap_sits_at_max_depth(nest):
         parse_formula(nest(MAX_DEPTH + 2))
 
 
-_DEEP = {
-    "parens": "(" * 200 + "A" + ")" * 200,
-    "negations": "~" * 1000 + "A",
-    "and": _chain("&", 3000),
-    "implies": _chain("->", 3000),
-}
-
-
-@pytest.mark.parametrize("text", list(_DEEP.values()), ids=list(_DEEP))
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 200 + "A" + ")" * 200, "~" * 1000 + "A", _chain("&", 3000), _chain("->", 3000)],
+    ids=["parens", "negations", "and", "implies"],
+)
 def test_deep_nesting_is_a_parse_error_not_a_recursion_error(text):
     with pytest.raises(ParseError) as info:
         parse_formula(text)
     assert info.value.line == 1
+    _assert_agrees_with_the_oracle(text)
 
 
 def test_nesting_error_points_at_the_level_past_the_cap():
@@ -382,7 +379,10 @@ _SYMBOL = {And: (4, "&"), Or: (3, "|"), Implies: (2, "->"), Iff: (1, "<->")}
 
 def _render_loosely(node, rng, min_power=0):
     """Surface text of ``node`` with random whitespace and extra parentheses."""
-    gap = lambda: rng.choice(["", " ", "  ", "\t", "\n", " \n "])  # noqa: E731
+
+    def gap():
+        return rng.choice(["", " ", "  ", "\t", "\n", " \n "])
+
     if isinstance(node, Atom):
         power, text = 6, node.name
     elif isinstance(node, Not):
@@ -414,8 +414,3 @@ def test_deep_inputs_parse_as_the_oracle_does(nest, excess):
     _assert_agrees_with_the_oracle(text)
     _assert_agrees_with_the_oracle("\n  " + text + " -> B")
     _assert_agrees_with_the_oracle("~(" + text + ") @")
-
-
-@pytest.mark.parametrize("text", list(_DEEP.values()), ids=list(_DEEP))
-def test_very_deep_inputs_fail_as_in_the_oracle(text):
-    _assert_agrees_with_the_oracle(text)
