@@ -31,7 +31,6 @@ from .errors import (
     NaflError,
     ParseError,
     ScenarioExecutionError,
-    ScenarioParseError,
     ScenarioValidationError,
     TooFewSamplesError,
     UnknownAtomError,
@@ -41,7 +40,7 @@ from .errors import (
 )
 from .scenarios import builtin_names, load_scenario, run_scenario
 from .simchoices import ENVELOPES, MODES
-from .syntax import format_formula, parse_formula
+from .syntax import format_formula, parse_formula_at, split_line
 from .theories import Theory, load_theory
 from .timeline import Timeline, format_stamp
 
@@ -99,29 +98,22 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """``run`` prints the whole report, ``duality`` its complementarity table."""
     try:
         report = run_scenario(load_scenario(args.scenario))
-    except (ScenarioParseError, ScenarioValidationError, ParseError) as exc:
+    except (ParseError, ScenarioValidationError) as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
     except ScenarioExecutionError as exc:
         return _fail(str(exc), EXIT_REJECTED)
+    if args.command == "duality":
+        print(report.duality_table_text())
+        return EXIT_OK if report.duality.passed else EXIT_CHECK_FAILED
     print(report.render())
     if not report.bcp.passed or not report.duality.passed:
         return EXIT_CHECK_FAILED
     if not report.all_expectations_matched:
         return EXIT_EXPECTATION_MISMATCH
     return EXIT_OK
-
-
-def cmd_duality(args: argparse.Namespace) -> int:
-    try:
-        report = run_scenario(load_scenario(args.scenario))
-    except (ScenarioParseError, ScenarioValidationError, ParseError) as exc:
-        return _fail(str(exc), EXIT_BAD_INPUT)
-    except ScenarioExecutionError as exc:
-        return _fail(str(exc), EXIT_REJECTED)
-    print(report.duality_table_text())
-    return EXIT_OK if report.duality.passed else EXIT_CHECK_FAILED
 
 
 # --------------------------------------------------------------------------
@@ -260,30 +252,23 @@ class _ReplState:
         return tl
 
 
-def _repl_truth(tl: Timeline, state: _ReplState, formula_text: str) -> str:
-    phi = parse_formula(formula_text)
-    theory = tl.theory_at(state.clock)
-    value = tl.truth_at(state.clock, phi)
-    kind = "superposed" if theory.undecided_atoms() else "classical model"
-    return f"{value.value} ({kind})"
-
-
 def cmd_repl(args: argparse.Namespace) -> int:
     state = _ReplState()
     interactive = sys.stdin.isatty()
     if interactive:
         print("interactive timeline; commands: atom, advance, declare, truth, model, duality, quit")
+    lineno = 0
     while True:
         if interactive:
             print("nafl> ", end="", flush=True)
         line = sys.stdin.readline()
         if not line:
             break
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        lineno += 1
+        words = split_line(line)
+        if words is None:
             continue
-        command, _, rest = line.partition(" ")
-        rest = rest.strip()
+        command, rest, column = words
         try:
             if command in ("quit", "exit"):
                 break
@@ -305,7 +290,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
                 state.clock = when
                 print(f"t = {format_stamp(state.clock)}")
             elif command == "declare":
-                phi = parse_formula(rest)
+                phi = parse_formula_at(rest, lineno, column)
                 trial = state.declarations + [(state.clock, (phi,))]
                 saved = state.declarations
                 state.declarations = trial
@@ -316,7 +301,11 @@ def cmd_repl(args: argparse.Namespace) -> int:
                     raise
                 print(f"declared {format_formula(phi)} at t = {format_stamp(state.clock)}")
             elif command == "truth":
-                print(_repl_truth(state.timeline(), state, rest))
+                phi = parse_formula_at(rest, lineno, column)
+                tl = state.timeline()
+                theory = tl.theory_at(state.clock)
+                kind = "superposed" if theory.undecided_atoms() else "classical model"
+                print(f"{tl.truth_at(state.clock, phi).value} ({kind})")
             elif command == "model":
                 theory = state.timeline().theory_at(state.clock)
                 undecided = sorted(theory.undecided_atoms())
@@ -371,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual.add_argument(
         "scenario", help=f"scenario file path or builtin name ({builtin_list})"
     )
-    p_dual.set_defaults(func=cmd_duality)
+    p_dual.set_defaults(func=cmd_run)
 
     p_sim = sub.add_parser("sim", help="run the photon Monte Carlo")
     p_sim.add_argument("--photons", type=int, default=None)

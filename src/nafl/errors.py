@@ -75,12 +75,8 @@ class ScenarioError(NaflError):
     """Base class for scenario-file errors."""
 
 
-class ScenarioParseError(ScenarioError):
-    """Malformed scenario file. Carries the 1-based line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} (line {line})")
-        self.line = line
+class ScenarioParseError(ScenarioError, ParseError):
+    """Malformed scenario file. Carries 1-based line and column."""
 
 
 class ScenarioValidationError(ScenarioError):

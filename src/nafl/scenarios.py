@@ -1,6 +1,8 @@
 """Scenario DSL: experiment replays as line-oriented text files.
 
-Grammar (one directive per line, ``#`` starts a comment):
+Grammar (one directive per line, read by ``syntax.split_line``: the first
+word is the directive, any run of whitespace separates words, keywords match
+whole words and ``#`` starts a comment):
 
     scenario <name>
     atom <name> "<gloss>"
@@ -32,14 +34,13 @@ from .errors import (
     IllegalAxiomError,
     InconsistentTheoryError,
     NaflError,
-    ParseError,
     ScenarioExecutionError,
     ScenarioParseError,
     ScenarioValidationError,
     read_text,
 )
 from .record import record
-from .syntax import Atom, Formula, atoms_of, parse_formula
+from .syntax import Atom, Formula, atoms_of, parse_formula_at, split_line
 from .theories import Theory
 from .timeline import BCPReport, Timeline, format_stamp
 
@@ -88,12 +89,6 @@ class Scenario:
     def vocabulary(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.atoms)
 
-    def time_value(self, label: str) -> float:
-        for name, value in self.times:
-            if name == label:
-                return value
-        raise KeyError(label)
-
     def base_theory(self) -> Theory:
         """Theory over the scenario vocabulary axiomatized by the bridges."""
         return Theory(self.name, self.vocabulary(), self.bridges)
@@ -119,13 +114,6 @@ def _parse_named_gloss(rest: str, directive: str, lineno: int) -> tuple[str, str
     return match.group("name"), match.group("gloss")
 
 
-def _parse_line_formula(text: str, lineno: int) -> Formula:
-    try:
-        return parse_formula(text)
-    except ParseError as exc:
-        raise ScenarioParseError(exc.raw_message, lineno) from exc
-
-
 def parse_scenario(text: str) -> Scenario:
     name: str | None = None
     atoms: list[tuple[str, str]] = []
@@ -136,11 +124,10 @@ def parse_scenario(text: str) -> Scenario:
     tracked: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        words = split_line(raw)
+        if words is None:
             continue
-        directive, _, rest = line.partition(" ")
-        rest = rest.strip()
+        directive, rest, column = words
         if directive == "scenario":
             if name is not None:
                 raise ScenarioParseError("duplicate 'scenario' line", lineno)
@@ -163,13 +150,13 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioParseError(f"time value {parts[1]!r} is not finite", lineno)
             times.append((parts[0], value))
         elif directive == "bridge":
-            bridges.append(_parse_line_formula(rest, lineno))
+            bridges.append(parse_formula_at(rest, lineno, column, ScenarioParseError))
         elif directive == "track":
             if tracked is not None:
                 raise ScenarioParseError("duplicate 'track' line", lineno)
             tracked = rest
         elif directive == "at":
-            events.append(_parse_event(rest, lineno))
+            events.append(_parse_event(rest, lineno, column))
         else:
             raise ScenarioParseError(f"unknown directive {directive!r}", lineno)
 
@@ -188,42 +175,47 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def _parse_event(rest: str, lineno: int) -> Event:
-    label, _, action = rest.partition(" ")
-    action = action.strip()
-    if not label or not action:
+def _parse_event(rest: str, lineno: int, column: int) -> Event:
+    """The event of an ``at`` line whose ``rest`` starts at ``column``."""
+    timed = split_line(rest)
+    action = split_line(timed[1]) if timed else None
+    if action is None:
         raise ScenarioParseError("'at' wants: at <time-label> <event>", lineno)
-    if action.startswith("expect-reject"):
-        tail = action[len("expect-reject"):].strip()
-        if not tail.startswith("declare"):
+    label = timed[0]
+    keyword, body, offset = action
+    column += timed[2] + offset - 2  # now the column of body
+    if keyword == "expect-reject":
+        declare = split_line(body)
+        if declare is None or declare[0] != "declare":
             raise ScenarioParseError("expect-reject supports only 'declare'", lineno)
-        formula = _parse_line_formula(tail[len("declare"):].strip(), lineno)
+        column += declare[2] - 1
+        formula = parse_formula_at(declare[1], lineno, column, ScenarioParseError)
         return DeclareEvent(lineno, label, (formula,), expect_reject=True)
-    if action.startswith("declare"):
-        body = action[len("declare"):].strip()
+    if keyword == "declare":
         if not body:
             raise ScenarioParseError("'declare' needs at least one formula", lineno)
-        formulas = tuple(
-            _parse_line_formula(part.strip(), lineno) for part in body.split(",")
-        )
-        return DeclareEvent(lineno, label, formulas)
-    if action.startswith("retro"):
-        body = action[len("retro"):].strip()
+        formulas = []
+        for part in body.split(","):
+            formulas.append(parse_formula_at(part, lineno, column, ScenarioParseError))
+            column += len(part) + 1
+        return DeclareEvent(lineno, label, tuple(formulas))
+    if keyword == "retro":
         match = _RETRO_RE.match(body)
         if match is None:
             raise ScenarioParseError(
                 "'retro' wants: retro [<t-start>, <t-end>) <formula>", lineno
             )
-        formula = _parse_line_formula(match.group("formula"), lineno)
-        return RetroEvent(lineno, label, match.group("start"), match.group("end"), formula)
-    raise ScenarioParseError(f"unknown event {action.split()[0]!r}", lineno)
+        column += match.start("formula")
+        formula = parse_formula_at(match["formula"], lineno, column, ScenarioParseError)
+        return RetroEvent(lineno, label, match["start"], match["end"], formula)
+    raise ScenarioParseError(f"unknown event {keyword!r}", lineno)
 
 
 def _validate(scenario: Scenario) -> None:
     if not scenario.times:
         raise ScenarioValidationError(f"scenario {scenario.name!r} declares no times")
-    labels = [label for label, _ in scenario.times]
-    if len(set(labels)) != len(labels):
+    times = dict(scenario.times)
+    if len(times) != len(scenario.times):
         raise ScenarioValidationError("duplicate time labels")
     values = [value for _, value in scenario.times]
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -247,10 +239,9 @@ def _validate(scenario: Scenario) -> None:
                 f"bridge {bridge} uses undeclared atom(s) {', '.join(sorted(stray))}"
             )
 
-    label_set = set(labels)
     plain_declare_labels: set[str] = set()
     for event in scenario.events:
-        if event.time_label not in label_set:
+        if event.time_label not in times:
             raise ScenarioValidationError(
                 f"event on line {event.line} references unknown time "
                 f"{event.time_label!r}"
@@ -272,7 +263,7 @@ def _validate(scenario: Scenario) -> None:
                 plain_declare_labels.add(event.time_label)
         else:
             for ref in (event.start_label, event.end_label):
-                if ref not in label_set:
+                if ref not in times:
                     raise ScenarioValidationError(
                         f"retro event on line {event.line} references unknown "
                         f"time {ref!r}"
@@ -283,11 +274,11 @@ def _validate(scenario: Scenario) -> None:
                     f"retro event on line {event.line} uses undeclared atom(s) "
                     f"{', '.join(sorted(stray))}"
                 )
-            if scenario.time_value(event.start_label) >= scenario.time_value(event.end_label):
+            if times[event.start_label] >= times[event.end_label]:
                 raise ScenarioValidationError(
                     f"retro event on line {event.line} has an empty interval"
                 )
-            if scenario.time_value(event.end_label) > scenario.time_value(event.time_label):
+            if times[event.end_label] > times[event.time_label]:
                 raise ScenarioValidationError(
                     f"retro event on line {event.line} asserts an interval "
                     "ending after its own time"
@@ -441,12 +432,10 @@ def run_scenario(scenario: Scenario) -> TimelineReport:
     rejections: list[RejectionRecord] = []
     mismatches: list[str] = []
 
-    ordered = sorted(
-        enumerate(scenario.events),
-        key=lambda pair: (scenario.time_value(pair[1].time_label), pair[0]),
-    )
-    for _, event in ordered:
-        at = scenario.time_value(event.time_label)
+    times = dict(scenario.times)
+    # sorted is stable, so events at one time keep their file order
+    for event in sorted(scenario.events, key=lambda event: times[event.time_label]):
+        at = times[event.time_label]
         if isinstance(event, DeclareEvent):
             if event.expect_reject:
                 try:
@@ -471,10 +460,7 @@ def run_scenario(scenario: Scenario) -> TimelineReport:
                 except NaflError as exc:
                     raise ScenarioExecutionError(event.describe(), exc) from exc
         else:
-            interval = (
-                scenario.time_value(event.start_label),
-                scenario.time_value(event.end_label),
-            )
+            interval = (times[event.start_label], times[event.end_label])
             try:
                 tl = tl.retro_assert(at, interval, event.formula)
             except (NaflError, ValueError) as exc:

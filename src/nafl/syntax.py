@@ -1,4 +1,4 @@
-"""Propositional formula trees, the plain-text grammar, and the printer.
+"""Propositional formula trees, the formula and input-line grammars, and the printer.
 
 Surface syntax (ASCII): ``~`` negation, ``&`` conjunction, ``|`` disjunction,
 ``->`` implication (right associative), ``<->`` biconditional. Precedence from
@@ -283,6 +283,38 @@ def parse_formula(text: str) -> Formula:
 
 
 # --------------------------------------------------------------------------
+# Line grammar of theory files, scenario files and REPL commands
+# --------------------------------------------------------------------------
+
+
+def split_line(line: str) -> tuple[str, str, int] | None:
+    """The first word of a line, the rest, and the rest's 1-based column.
+
+    ``#`` starts a comment and any run of whitespace separates words, so a
+    keyword matches only as a whole word. None for a line that is blank
+    once its comment is cut.
+    """
+    text = line.split("#", 1)[0]
+    parts = text.split(None, 1)
+    if not parts:
+        return None
+    rest = parts[1] if len(parts) > 1 else ""
+    return parts[0], rest.rstrip(), len(text) - len(rest) + 1
+
+
+def parse_formula_at(text: str, line: int, column: int, kind: type | None = None) -> Formula:
+    """parse_formula on text that starts at ``column`` of input line ``line``.
+
+    An error reports its position within that line and keeps its class,
+    unless ``kind`` names the class to raise instead.
+    """
+    try:
+        return parse_formula(text)
+    except ParseError as exc:
+        raise (kind or type(exc))(exc.raw_message, line, column + exc.column - 1) from None
+
+
+# --------------------------------------------------------------------------
 # Printer (minimal parentheses; parse(format_formula(f)) == f)
 # --------------------------------------------------------------------------
 
@@ -314,7 +346,7 @@ def format_formula(formula: Formula) -> str:
 
 
 # --------------------------------------------------------------------------
-# Negation normal form (used by the superposed-model evaluator)
+# Negation normal form (a public helper; the tests' evaluator oracle)
 # --------------------------------------------------------------------------
 
 

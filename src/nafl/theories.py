@@ -51,7 +51,8 @@ from .errors import (
     read_text,
 )
 from .record import record
-from .syntax import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of, parse_formula
+from .syntax import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of
+from .syntax import parse_formula_at, split_line
 
 # Materializing more formula trees than this is refused by theorems().
 _ENUMERATION_CAP = 1_000_000
@@ -285,6 +286,8 @@ class Theory:
 #   axiom <formula>
 #   query <formula>        (optional; used by the check command)
 #   # comment
+#
+# Lines follow syntax.split_line: the first word is the directive.
 
 
 def parse_theory(text: str) -> tuple[Theory, list[Formula]]:
@@ -295,11 +298,10 @@ def parse_theory(text: str) -> tuple[Theory, list[Formula]]:
     queries: list[Formula] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        words = split_line(raw)
+        if words is None:
             continue
-        directive, _, rest = line.partition(" ")
-        rest = rest.strip()
+        directive, rest, column = words
         if directive == "theory":
             if name is not None:
                 raise ParseError("duplicate 'theory' line", lineno)
@@ -314,13 +316,7 @@ def parse_theory(text: str) -> tuple[Theory, list[Formula]]:
         elif directive in ("axiom", "query"):
             if not rest:
                 raise ParseError(f"'{directive}' needs a formula", lineno)
-            try:
-                formula = parse_formula(rest)
-            except ParseError as exc:
-                # exc.column counts within the formula; report it within the line
-                start = raw.index(rest, raw.index(directive) + len(directive))
-                raise ParseError(exc.raw_message, lineno, start + exc.column) from exc
-            (axioms if directive == "axiom" else queries).append(formula)
+            (axioms if directive == "axiom" else queries).append(parse_formula_at(rest, lineno, column))
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno)
 

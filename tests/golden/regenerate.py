@@ -8,8 +8,9 @@ its standard output and its standard error. ``tests/test_golden.py``
 compares the stored files with fresh runs byte for byte, so a change that
 alters the CLI's output on purpose shows up as a diff of these files.
 
-The cases are ``run`` and ``duality`` on every built-in scenario, and
-``check`` on every ``theories/*.thy`` file plus one missing file.
+The cases are ``run`` and ``duality`` on every built-in scenario, ``run``
+on every ``scenarios/*.scn`` file, and ``check`` on every ``theories/*.thy``
+file plus one missing file.
 """
 
 from __future__ import annotations
@@ -30,10 +31,15 @@ def cases() -> dict[str, list[str]]:
     for command in ("run", "duality"):
         for name in builtin_names():
             found[f"{command}-{name}"] = [command, name]
-    theories = sorted(f for f in os.listdir(os.path.join(HERE, "theories")) if f.endswith(".thy"))
-    for file in theories + ["missing.thy"]:
+    for file in _files("scenarios", ".scn"):
+        found[f"run-{file[: -len('.scn')]}"] = ["run", f"scenarios/{file}"]
+    for file in _files("theories", ".thy") + ["missing.thy"]:
         found[f"check-{file[: -len('.thy')]}"] = ["check", f"theories/{file}"]
     return found
+
+
+def _files(directory: str, suffix: str) -> list[str]:
+    return sorted(f for f in os.listdir(os.path.join(HERE, directory)) if f.endswith(suffix))
 
 
 def capture(argv: list[str]) -> str:

@@ -369,6 +369,17 @@ def test_repl_rejects_non_finite_times(monkeypatch, capsys):
     assert "clock already at 1; cannot go back" in out
 
 
+def test_repl_splits_words_at_tabs(monkeypatch, capsys):
+    feed(monkeypatch, "atom\tP Q\ndeclare\tQ\ntruth\tQ\nmodel\t# tab before a comment\ntruth\tQ &\n")
+    assert run(["repl"]) == 0
+    out = capsys.readouterr().out
+    assert "unknown command" not in out
+    assert "vocabulary: P Q" in out
+    assert "true (superposed)" in out
+    assert "  Q: provable" in out
+    assert "(line 5, column 10)" in out
+
+
 def test_repl_handles_garbage(monkeypatch, capsys):
     feed(monkeypatch, "frobnicate\nadvance backwards\ntruth P(\nquit\n")
     assert run(["repl"]) == 0

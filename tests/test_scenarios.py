@@ -3,6 +3,7 @@
 import pytest
 
 from nafl.errors import (
+    ParseError,
     ScenarioExecutionError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -75,6 +76,47 @@ def test_parse_errors_carry_line_numbers():
         parse_scenario("scenario x\nfrobnicate\n")
     with pytest.raises(ScenarioParseError):
         parse_scenario(MINIMAL + "at t1 retro t0 to t1 P\n")
+
+
+@pytest.mark.parametrize(
+    "event",
+    ["at t1 declarex", "at t1 declareP", "at t1 expect-rejectdeclare P", "at t1 retrox [t0, t1) P"],
+)
+def test_event_keywords_match_whole_words(event):
+    with pytest.raises(ScenarioParseError, match="unknown event"):
+        parse_scenario(MINIMAL.replace("at t1 declare Q", event))
+
+
+@pytest.mark.parametrize(
+    "event, parsed",
+    [
+        ("at\tt1\tdeclare\tP", DeclareEvent(9, "t1", (pf("P"),))),
+        ("at  t1\t declare Q,\tP", DeclareEvent(9, "t1", (pf("Q"), pf("P")))),
+        ("at\tt0\texpect-reject\tdeclare\tP & ~P", DeclareEvent(9, "t0", (pf("P & ~P"),), True)),
+        ("at\tt1\tretro\t[t0, t1)\tP", RetroEvent(9, "t1", "t0", "t1", pf("P"))),
+    ],
+)
+def test_words_split_at_any_run_of_spaces_or_tabs(event, parsed):
+    text = MINIMAL.replace("at t1 declare Q", "").replace(" ", "\t") + event + "\n"
+    assert parse_scenario(text).events == (parsed,)
+
+
+@pytest.mark.parametrize(
+    "line, column",
+    [
+        ("bridge P &\t@", 12),
+        ("at t1 declare Q, P & @", 22),
+        ("at t0 expect-reject declare P &", 32),
+        ("at\tt0 expect-reject \tdeclare  P | @", 35),
+        ("at t1 retro [t0, t1) P | @", 26),
+    ],
+)
+def test_formula_errors_report_their_column_within_the_line(line, column):
+    with pytest.raises(ScenarioParseError) as info:
+        parse_scenario(MINIMAL + line + "\n")
+    assert isinstance(info.value, ParseError)
+    assert (info.value.line, info.value.column) == (9, column)
+    assert str(info.value).endswith(f"(line 9, column {column})")
 
 
 def test_validation_errors():

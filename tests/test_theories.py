@@ -19,6 +19,7 @@ from nafl.errors import (
     NaflError,
     ParseError,
     UnknownAtomError,
+    UnknownTokenError,
     VocabularyError,
 )
 from nafl.syntax import And, Atom, Iff, Implies, Not, Or, atoms_of, parse_formula as pf
@@ -350,12 +351,25 @@ def test_parse_theory_reports_file_lines():
         ("\taxiom  (A | B  # unclosed", 15),
         ("   axiom   a &", 15),
         ("query a | (", 12),
+        ("axiom\tA &\t@", 11),
+        ("\tquery\t\ta |", 12),
     ],
 )
 def test_parse_theory_columns_count_from_the_start_of_the_line(line, column):
     with pytest.raises(ParseError) as info:
         parse_theory(f"theory T\natoms A B a\n{line}\n")
     assert (info.value.line, info.value.column) == (3, column)
+
+
+def test_parse_theory_keeps_the_class_of_a_formula_error():
+    with pytest.raises(UnknownTokenError) as info:
+        parse_theory("theory T\natoms A\naxiom A @\n")
+    assert (info.value.line, info.value.column) == (3, 9)
+
+
+def test_parse_theory_splits_words_at_tabs():
+    theory, queries = parse_theory(GOOD.replace(" ", "\t"))
+    assert (theory, queries) == parse_theory(GOOD)
 
 
 def test_load_theory(tmp_path):
