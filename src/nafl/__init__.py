@@ -19,13 +19,7 @@ import importlib.util
 import sys
 import types
 
-from .classical import (
-    entails,
-    eval_formula,
-    is_satisfiable,
-    valuations,
-    vocabulary_of,
-)
+from .classical import entails, is_satisfiable, vocabulary_of
 from .duality import (
     BOUND_TOLERANCE,
     DualityRecord,
@@ -82,7 +76,6 @@ from .syntax import (
     atoms_of,
     format_formula,
     parse_formula,
-    to_nnf,
 )
 from .theories import PropStatus, Theory, load_theory, parse_theory
 from .timeline import (
@@ -203,7 +196,6 @@ __all__ = [
     "classical_pdf",
     "duality_check",
     "entails",
-    "eval_formula",
     "format_formula",
     "format_stamp",
     "is_satisfiable",
@@ -218,7 +210,5 @@ __all__ = [
     "reconstruct",
     "run_scenario",
     "simulate",
-    "to_nnf",
-    "valuations",
     "vocabulary_of",
 ]

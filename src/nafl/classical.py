@@ -8,16 +8,14 @@ cached per (index, vocabulary size); ``table`` folds the connectives into
 bitwise operations on them. The models of a formula set are the AND of their
 tables, so entailment is one AND and one comparison, with no search.
 
-``find_model``, ``is_satisfiable`` and ``entails`` build the tables over the
-formulas' own vocabulary. The tests cross-check them against exhaustive
-valuation enumeration (``eval_formula`` over ``valuations``), which they keep
-as their oracle.
+``is_satisfiable`` and ``entails`` build the tables over the formulas' own
+vocabulary. The tests cross-check them against exhaustive valuation
+enumeration, which ``tests/oracles.py`` keeps out of the package.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import VocabularyError
@@ -32,33 +30,6 @@ def vocabulary_of(formulas: Iterable[Formula]) -> tuple[str, ...]:
     for formula in formulas:
         names |= atoms_of(formula)
     return tuple(sorted(names))
-
-
-def _check_vocab(formulas: Sequence[Formula]) -> tuple[str, ...]:
-    vocab = vocabulary_of(formulas)
-    if len(vocab) > VOCAB_LIMIT:
-        raise VocabularyError(f"{len(vocab)} atoms exceed the supported bound of {VOCAB_LIMIT}")
-    return vocab
-
-
-def eval_formula(formula: Formula, valuation: Mapping[str, bool]) -> bool:
-    if isinstance(formula, Atom):
-        return valuation[formula.name]
-    if isinstance(formula, Not):
-        return not eval_formula(formula.operand, valuation)
-    if isinstance(formula, And):
-        return eval_formula(formula.left, valuation) and eval_formula(formula.right, valuation)
-    if isinstance(formula, Or):
-        return eval_formula(formula.left, valuation) or eval_formula(formula.right, valuation)
-    if isinstance(formula, Implies):
-        return (not eval_formula(formula.left, valuation)) or eval_formula(formula.right, valuation)
-    assert isinstance(formula, Iff)
-    return eval_formula(formula.left, valuation) == eval_formula(formula.right, valuation)
-
-
-def valuations(vocab: Sequence[str]) -> Iterator[dict[str, bool]]:
-    for bits in itertools.product((False, True), repeat=len(vocab)):
-        yield dict(zip(vocab, bits))
 
 
 # --------------------------------------------------------------------------
@@ -121,25 +92,26 @@ def valuation(index: int, vocab: Sequence[str]) -> dict[str, bool]:
     return {name: bool(index >> k & 1) for k, name in enumerate(vocab)}
 
 
-def find_model(formulas: Iterable[Formula]) -> dict[str, bool] | None:
-    """The lowest valuation of the formulas' atoms making every formula true,
-    or None if none exists."""
-    formulas = list(formulas)
-    vocab = _check_vocab(formulas)
+def _models(*formulas: Formula) -> int:
+    """The AND of the formulas' tables over their own atoms: their models.
+
+    More than VOCAB_LIMIT atoms is a VocabularyError.
+    """
+    vocab = vocabulary_of(formulas)
+    if len(vocab) > VOCAB_LIMIT:
+        raise VocabularyError(f"{len(vocab)} atoms exceed the supported bound of {VOCAB_LIMIT}")
     cols, full = columns(vocab), full_table(len(vocab))
     models = full
     for formula in formulas:
         models &= table(formula, cols, full)
-    if not models:
-        return None
-    return valuation((models & -models).bit_length() - 1, vocab)
+    return models
 
 
 def is_satisfiable(axioms: Sequence[Formula]) -> bool:
     """True iff some total valuation satisfies every axiom."""
-    return find_model(axioms) is not None
+    return _models(*axioms) != 0
 
 
 def entails(axioms: Sequence[Formula], phi: Formula) -> bool:
     """True iff every valuation satisfying the axioms satisfies phi."""
-    return find_model([*axioms, Not(phi)]) is None
+    return _models(*axioms, Not(phi)) == 0

@@ -268,7 +268,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
         words = split_line(line)
         if words is None:
             continue
-        command, rest, column = words
+        command, _, rest, column = words
         try:
             if command in ("quit", "exit"):
                 break

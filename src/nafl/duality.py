@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .record import record
 from .theories import PropStatus
-from .timeline import Timeline, format_stamp
+from .timeline import Timeline, format_stamp, format_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenarios import Scenario
@@ -72,16 +72,9 @@ class DualityReport:
         return out
 
     def render(self) -> str:
-        lines = ["duality:"]
         header = ("label", "t", "D", "V", "D^2+V^2", "bound")
-        rows = [header] + self.rows()
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        for row in rows:
-            lines.append(
-                "  " + "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-            )
-        lines.append(f"duality: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
+        verdict = f"duality: {'PASS' if self.passed else 'FAIL'}"
+        return "\n".join(["duality:", *format_table([header, *self.rows()]), verdict])
 
 
 def duality_check(records: Sequence[DualityRecord]) -> DualityReport:

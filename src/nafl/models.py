@@ -105,9 +105,10 @@ def build_nonclassical(theory: Theory) -> NonclassicalModel:
 def nc_eval(model: NonclassicalModel, phi: Formula) -> bool:
     """Paraconsistent evaluation: negations pushed down to literals.
 
-    Agrees with looking up literals in to_nnf(phi), but visits each node of
-    phi once instead of expanding -> and <->, so its cost is linear in the
-    size of phi.
+    Agrees with looking up literals in the negation normal form of phi
+    (``to_nnf`` in tests/oracles.py, the tests' oracle), but visits each
+    node of phi once instead of expanding -> and <->, so its cost is linear
+    in the size of phi.
     """
     known = {name for name, _ in model.atom_status}
     stray = atoms_of(phi) - known

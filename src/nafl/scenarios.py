@@ -2,7 +2,9 @@
 
 Grammar (one directive per line, read by ``syntax.split_line``: the first
 word is the directive, any run of whitespace separates words, keywords match
-whole words and ``#`` starts a comment):
+whole words and ``#`` outside a quoted gloss starts a comment; an error in a
+line reports the column of the word it names, or of the formula's token at
+fault):
 
     scenario <name>
     atom <name> "<gloss>"
@@ -42,7 +44,7 @@ from .errors import (
 from .record import record
 from .syntax import Atom, Formula, atoms_of, parse_formula_at, split_line
 from .theories import Theory
-from .timeline import BCPReport, Timeline, format_stamp
+from .timeline import BCPReport, Timeline, format_stamp, format_table
 
 
 @record
@@ -105,11 +107,11 @@ _RETRO_RE = re.compile(
 )
 
 
-def _parse_named_gloss(rest: str, directive: str, lineno: int) -> tuple[str, str]:
+def _parse_named_gloss(rest: str, directive: str, lineno: int, start: int) -> tuple[str, str]:
     match = _GLOSS_RE.match(rest)
     if match is None:
         raise ScenarioParseError(
-            f"'{directive}' wants: {directive} <name> \"<gloss>\"", lineno
+            f"'{directive}' wants: {directive} <name> \"<gloss>\"", lineno, start
         )
     return match.group("name"), match.group("gloss")
 
@@ -127,38 +129,40 @@ def parse_scenario(text: str) -> Scenario:
         words = split_line(raw)
         if words is None:
             continue
-        directive, rest, column = words
+        directive, start, rest, column = words
         if directive == "scenario":
             if name is not None:
-                raise ScenarioParseError("duplicate 'scenario' line", lineno)
+                raise ScenarioParseError("duplicate 'scenario' line", lineno, start)
             if not rest:
-                raise ScenarioParseError("'scenario' needs a name", lineno)
+                raise ScenarioParseError("'scenario' needs a name", lineno, start)
             name = rest
         elif directive == "atom":
-            atoms.append(_parse_named_gloss(rest, "atom", lineno))
+            atoms.append(_parse_named_gloss(rest, "atom", lineno, start))
         elif directive == "location":
-            locations.append(_parse_named_gloss(rest, "location", lineno))
+            locations.append(_parse_named_gloss(rest, "location", lineno, start))
         elif directive == "time":
             parts = rest.split()
             if len(parts) != 2:
-                raise ScenarioParseError("'time' wants: time <label> <real>", lineno)
+                raise ScenarioParseError("'time' wants: time <label> <real>", lineno, start)
+            label, text = parts
+            where = column + len(rest) - len(text)  # the value ends the line
             try:
-                value = float(parts[1])
+                value = float(text)
             except ValueError:
-                raise ScenarioParseError(f"bad time value {parts[1]!r}", lineno) from None
+                raise ScenarioParseError(f"bad time value {text!r}", lineno, where) from None
             if not math.isfinite(value):
-                raise ScenarioParseError(f"time value {parts[1]!r} is not finite", lineno)
-            times.append((parts[0], value))
+                raise ScenarioParseError(f"time value {text!r} is not finite", lineno, where)
+            times.append((label, value))
         elif directive == "bridge":
             bridges.append(parse_formula_at(rest, lineno, column, ScenarioParseError))
         elif directive == "track":
             if tracked is not None:
-                raise ScenarioParseError("duplicate 'track' line", lineno)
+                raise ScenarioParseError("duplicate 'track' line", lineno, start)
             tracked = rest
         elif directive == "at":
-            events.append(_parse_event(rest, lineno, column))
+            events.append(_parse_event(rest, lineno, start, column))
         else:
-            raise ScenarioParseError(f"unknown directive {directive!r}", lineno)
+            raise ScenarioParseError(f"unknown directive {directive!r}", lineno, start)
 
     if name is None:
         raise ScenarioParseError("missing 'scenario' line", 1)
@@ -175,25 +179,24 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def _parse_event(rest: str, lineno: int, column: int) -> Event:
-    """The event of an ``at`` line whose ``rest`` starts at ``column``."""
-    timed = split_line(rest)
-    action = split_line(timed[1]) if timed else None
+def _parse_event(rest: str, lineno: int, start: int, column: int) -> Event:
+    """The event of an ``at`` line whose directive starts at column ``start``
+    and whose ``rest`` at ``column``."""
+    timed = split_line(rest, column)
+    action = split_line(timed[2], timed[3]) if timed else None
     if action is None:
-        raise ScenarioParseError("'at' wants: at <time-label> <event>", lineno)
+        raise ScenarioParseError("'at' wants: at <time-label> <event>", lineno, start)
     label = timed[0]
-    keyword, body, offset = action
-    column += timed[2] + offset - 2  # now the column of body
+    keyword, start, body, column = action
     if keyword == "expect-reject":
-        declare = split_line(body)
+        declare = split_line(body, column)
         if declare is None or declare[0] != "declare":
-            raise ScenarioParseError("expect-reject supports only 'declare'", lineno)
-        column += declare[2] - 1
-        formula = parse_formula_at(declare[1], lineno, column, ScenarioParseError)
+            raise ScenarioParseError("expect-reject supports only 'declare'", lineno, start)
+        formula = parse_formula_at(declare[2], lineno, declare[3], ScenarioParseError)
         return DeclareEvent(lineno, label, (formula,), expect_reject=True)
     if keyword == "declare":
         if not body:
-            raise ScenarioParseError("'declare' needs at least one formula", lineno)
+            raise ScenarioParseError("'declare' needs at least one formula", lineno, start)
         formulas = []
         for part in body.split(","):
             formulas.append(parse_formula_at(part, lineno, column, ScenarioParseError))
@@ -203,12 +206,12 @@ def _parse_event(rest: str, lineno: int, column: int) -> Event:
         match = _RETRO_RE.match(body)
         if match is None:
             raise ScenarioParseError(
-                "'retro' wants: retro [<t-start>, <t-end>) <formula>", lineno
+                "'retro' wants: retro [<t-start>, <t-end>) <formula>", lineno, start
             )
         column += match.start("formula")
         formula = parse_formula_at(match["formula"], lineno, column, ScenarioParseError)
         return RetroEvent(lineno, label, match["start"], match["end"], formula)
-    raise ScenarioParseError(f"unknown event {keyword!r}", lineno)
+    raise ScenarioParseError(f"unknown event {keyword!r}", lineno, start)
 
 
 def _validate(scenario: Scenario) -> None:
@@ -369,16 +372,8 @@ class TimelineReport:
         header = ["formula"] + [
             f"[{format_stamp(s)}, {format_stamp(e)})" for s, e in self.columns
         ]
-        rows = [tuple(header)] + [
-            (label,) + cells for label, cells in self.truth_rows
-        ]
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = ["truth table:"]
-        for row in rows:
-            lines.append(
-                "  " + "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-            )
-        return "\n".join(lines)
+        rows = [header] + [[label, *cells] for label, cells in self.truth_rows]
+        return "\n".join(["truth table:", *format_table(rows)])
 
     def duality_table_text(self) -> str:
         return self.duality.render()
@@ -463,7 +458,7 @@ def run_scenario(scenario: Scenario) -> TimelineReport:
             interval = (times[event.start_label], times[event.end_label])
             try:
                 tl = tl.retro_assert(at, interval, event.formula)
-            except (NaflError, ValueError) as exc:
+            except NaflError as exc:
                 raise ScenarioExecutionError(event.describe(), exc) from exc
 
     boundaries = sorted(

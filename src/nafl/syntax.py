@@ -9,7 +9,7 @@ A formula nests at most ``MAX_DEPTH`` (100) levels deep: every parenthesis
 pair, negation and binary operator around an atom is one level, so
 ``((A))``, ``~~A`` and ``A & B & C`` are each two levels deep. Deeper text
 is a ParseError. The cap keeps the parser and every recursive pass over the
-tree (printer, normal form, evaluation, truth tables) far inside Python's
+tree (printer, truth tables, superposed evaluation) far inside Python's
 recursion limit.
 
 Reading is one scan and one precedence-climbing loop (Pratt, "Top down
@@ -287,19 +287,27 @@ def parse_formula(text: str) -> Formula:
 # --------------------------------------------------------------------------
 
 
-def split_line(line: str) -> tuple[str, str, int] | None:
-    """The first word of a line, the rest, and the rest's 1-based column.
+# The part of a line before its comment. ``#`` starts a comment unless it
+# sits inside a closed pair of double quotes; a ``"`` with no closing partner
+# is an ordinary character, which the grammar after it then rejects.
+_CODE = re.compile(r'[^#"]*(?:(?:"[^"]*"|")[^#"]*)*')
 
-    ``#`` starts a comment and any run of whitespace separates words, so a
-    keyword matches only as a whole word. None for a line that is blank
-    once its comment is cut.
+
+def split_line(line: str, column: int = 1) -> tuple[str, int, str, int] | None:
+    """The first word of a line, its column, the rest, and the rest's column.
+
+    Columns are 1-based, counted from ``column``, the column of the line's
+    first character, so the rest can be split again in place. ``#`` outside
+    a quoted ``"..."`` starts a comment and any run of whitespace separates
+    words, so a keyword matches only as a whole word. None for a line that
+    is blank once its comment is cut.
     """
-    text = line.split("#", 1)[0]
+    text = _CODE.match(line)[0]
     parts = text.split(None, 1)
     if not parts:
         return None
     rest = parts[1] if len(parts) > 1 else ""
-    return parts[0], rest.rstrip(), len(text) - len(rest) + 1
+    return parts[0], column + text.index(parts[0]), rest.rstrip(), column + len(text) - len(rest)
 
 
 def parse_formula_at(text: str, line: int, column: int, kind: type | None = None) -> Formula:
@@ -344,38 +352,3 @@ def _render(node: Formula, min_prec: int) -> str:
 def format_formula(formula: Formula) -> str:
     return _render(formula, 0)
 
-
-# --------------------------------------------------------------------------
-# Negation normal form (a public helper; the tests' evaluator oracle)
-# --------------------------------------------------------------------------
-
-
-def to_nnf(formula: Formula, negate: bool = False) -> Formula:
-    """Push negations down to literals, expanding -> and <-> on the way."""
-    if isinstance(formula, Atom):
-        return Not(formula) if negate else formula
-    if isinstance(formula, Not):
-        return to_nnf(formula.operand, not negate)
-    if isinstance(formula, And):
-        if negate:
-            return Or(to_nnf(formula.left, True), to_nnf(formula.right, True))
-        return And(to_nnf(formula.left, False), to_nnf(formula.right, False))
-    if isinstance(formula, Or):
-        if negate:
-            return And(to_nnf(formula.left, True), to_nnf(formula.right, True))
-        return Or(to_nnf(formula.left, False), to_nnf(formula.right, False))
-    if isinstance(formula, Implies):
-        if negate:
-            return And(to_nnf(formula.left, False), to_nnf(formula.right, True))
-        return Or(to_nnf(formula.left, True), to_nnf(formula.right, False))
-    assert isinstance(formula, Iff)
-    left, right = formula.left, formula.right
-    if negate:
-        return Or(
-            And(to_nnf(left, False), to_nnf(right, True)),
-            And(to_nnf(left, True), to_nnf(right, False)),
-        )
-    return And(
-        Or(to_nnf(left, True), to_nnf(right, False)),
-        Or(to_nnf(left, False), to_nnf(right, True)),
-    )

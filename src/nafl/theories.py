@@ -287,7 +287,9 @@ class Theory:
 #   query <formula>        (optional; used by the check command)
 #   # comment
 #
-# Lines follow syntax.split_line: the first word is the directive.
+# Lines follow syntax.split_line: the first word is the directive. An error
+# in a line reports the column of the word it names, or of the formula's
+# token at fault.
 
 
 def parse_theory(text: str) -> tuple[Theory, list[Formula]]:
@@ -301,24 +303,24 @@ def parse_theory(text: str) -> tuple[Theory, list[Formula]]:
         words = split_line(raw)
         if words is None:
             continue
-        directive, rest, column = words
+        directive, start, rest, column = words
         if directive == "theory":
             if name is not None:
-                raise ParseError("duplicate 'theory' line", lineno)
+                raise ParseError("duplicate 'theory' line", lineno, start)
             if not rest:
-                raise ParseError("'theory' needs a name", lineno)
+                raise ParseError("'theory' needs a name", lineno, start)
             name = rest
         elif directive == "atoms":
             names = rest.split()
             if not names:
-                raise ParseError("'atoms' needs at least one name", lineno)
+                raise ParseError("'atoms' needs at least one name", lineno, start)
             vocabulary.extend(names)
         elif directive in ("axiom", "query"):
             if not rest:
-                raise ParseError(f"'{directive}' needs a formula", lineno)
+                raise ParseError(f"'{directive}' needs a formula", lineno, start)
             (axioms if directive == "axiom" else queries).append(parse_formula_at(rest, lineno, column))
         else:
-            raise ParseError(f"unknown directive {directive!r}", lineno)
+            raise ParseError(f"unknown directive {directive!r}", lineno, start)
 
     if name is None:
         raise ParseError("missing 'theory' line", 1)

@@ -20,6 +20,7 @@ grounds it.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from bisect import bisect_right
 from operator import attrgetter
@@ -58,6 +59,15 @@ def format_stamp(t: float) -> str:
     if t == int(t):
         return str(int(t))
     return repr(t)
+
+
+def format_table(rows: Sequence[Sequence[str]]) -> list[str]:
+    """Report lines for rows of cells: indented two spaces, columns aligned left."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return [
+        "  " + "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in rows
+    ]
 
 
 @record
@@ -151,9 +161,9 @@ class Timeline:
         other formula must be legal in the active theory syntax.
         """
         theory = self.theory_at(t)  # also validates t
-        matching = [r for r in self.retro_assertions if r.formula == phi]
-        if matching:
-            if t < min(r.asserted_at for r in matching):
+        since = self._retro_since.get(phi)
+        if since is not None:
+            if t < since:
                 return TruthValue.NEITHER
         elif not theory.is_legal(phi):
             raise IllegalPropositionError(
@@ -168,21 +178,29 @@ class Timeline:
 
     # -- retroactive assertions ---------------------------------------------------
 
+    @functools.cached_property
+    def _retro_since(self) -> dict[Formula, float]:
+        """Each retroactive formula's earliest assertion time, built on first use."""
+        since: dict[Formula, float] = {}
+        for r in self.retro_assertions:
+            since[r.formula] = min(r.asserted_at, since.get(r.formula, math.inf))
+        return since
+
     def retro_assert(
         self, at: float, interval: tuple[float, float], phi: Formula
     ) -> "Timeline":
         """Record that phi, about [interval), is provable from time `at` on.
 
         The interval must close no later than `at`; the statement is about
-        the past. Raises UnprovableRetroError when the interpretation active
-        at `at` does not prove phi.
+        the past, else TimelineError. Raises UnprovableRetroError when the
+        interpretation active at `at` does not prove phi.
         """
         at = _finite(at)
         start, end = _finite(interval[0]), _finite(interval[1])
         if not start < end:
-            raise ValueError(f"empty interval [{start}, {end})")
+            raise TimelineError(f"empty interval [{start}, {end})")
         if end > at:
-            raise ValueError(
+            raise TimelineError(
                 f"interval end {end} lies after the assertion time {at}"
             )
         theory = self.theory_at(at)

@@ -1,0 +1,82 @@
+"""Reference implementations the tests check nafl against.
+
+nafl decides every formula through one path, the truth tables of
+``nafl.classical``. These are the slow, obviously correct routes the tests
+compare it with: evaluation under a single valuation, enumeration of every
+valuation, and the negation normal form that defines the superposed
+model's evaluation. No program path uses them.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterator, Mapping, Sequence
+
+from nafl.classical import vocabulary_of
+from nafl.syntax import And, Atom, Formula, Iff, Implies, Not, Or
+
+
+def eval_formula(formula: Formula, valuation: Mapping[str, bool]) -> bool:
+    if isinstance(formula, Atom):
+        return valuation[formula.name]
+    if isinstance(formula, Not):
+        return not eval_formula(formula.operand, valuation)
+    if isinstance(formula, And):
+        return eval_formula(formula.left, valuation) and eval_formula(formula.right, valuation)
+    if isinstance(formula, Or):
+        return eval_formula(formula.left, valuation) or eval_formula(formula.right, valuation)
+    if isinstance(formula, Implies):
+        return (not eval_formula(formula.left, valuation)) or eval_formula(formula.right, valuation)
+    assert isinstance(formula, Iff)
+    return eval_formula(formula.left, valuation) == eval_formula(formula.right, valuation)
+
+
+def valuations(vocab: Sequence[str]) -> Iterator[dict[str, bool]]:
+    for bits in itertools.product((False, True), repeat=len(vocab)):
+        yield dict(zip(vocab, bits))
+
+
+def is_satisfiable_by_enumeration(axioms):
+    return any(
+        all(eval_formula(ax, v) for ax in axioms)
+        for v in valuations(vocabulary_of(axioms))
+    )
+
+
+def entails_by_enumeration(axioms, phi):
+    return all(
+        eval_formula(phi, v)
+        for v in valuations(vocabulary_of(list(axioms) + [phi]))
+        if all(eval_formula(ax, v) for ax in axioms)
+    )
+
+
+def to_nnf(formula: Formula, negate: bool = False) -> Formula:
+    """Push negations down to literals, expanding -> and <-> on the way."""
+    if isinstance(formula, Atom):
+        return Not(formula) if negate else formula
+    if isinstance(formula, Not):
+        return to_nnf(formula.operand, not negate)
+    if isinstance(formula, And):
+        if negate:
+            return Or(to_nnf(formula.left, True), to_nnf(formula.right, True))
+        return And(to_nnf(formula.left, False), to_nnf(formula.right, False))
+    if isinstance(formula, Or):
+        if negate:
+            return And(to_nnf(formula.left, True), to_nnf(formula.right, True))
+        return Or(to_nnf(formula.left, False), to_nnf(formula.right, False))
+    if isinstance(formula, Implies):
+        if negate:
+            return And(to_nnf(formula.left, False), to_nnf(formula.right, True))
+        return Or(to_nnf(formula.left, True), to_nnf(formula.right, False))
+    assert isinstance(formula, Iff)
+    left, right = formula.left, formula.right
+    if negate:
+        return Or(
+            And(to_nnf(left, False), to_nnf(right, True)),
+            And(to_nnf(left, True), to_nnf(right, False)),
+        )
+    return And(
+        Or(to_nnf(left, True), to_nnf(right, False)),
+        Or(to_nnf(left, False), to_nnf(right, True)),
+    )

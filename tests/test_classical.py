@@ -3,33 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nafl.classical import (
-    entails,
-    eval_formula,
-    is_satisfiable,
-    valuations,
-    vocabulary_of,
-)
+from nafl.classical import entails, is_satisfiable, vocabulary_of
 from nafl.errors import VocabularyError
 from nafl.syntax import And, Atom, Iff, Implies, Not, Or, parse_formula as pf
-
-
 # The oracle: exhaustive valuation enumeration, independent of the tables.
-
-
-def is_satisfiable_by_enumeration(axioms):
-    return any(
-        all(eval_formula(ax, v) for ax in axioms)
-        for v in valuations(vocabulary_of(axioms))
-    )
-
-
-def entails_by_enumeration(axioms, phi):
-    return all(
-        eval_formula(phi, v)
-        for v in valuations(vocabulary_of(list(axioms) + [phi]))
-        if all(eval_formula(ax, v) for ax in axioms)
-    )
+from oracles import (
+    entails_by_enumeration,
+    eval_formula,
+    is_satisfiable_by_enumeration,
+    valuations,
+)
 
 
 def test_eval_formula():

@@ -1,5 +1,7 @@
 """Scenario DSL parsing, validation, execution, and reports."""
 
+import time
+
 import pytest
 
 from nafl.errors import (
@@ -117,6 +119,38 @@ def test_formula_errors_report_their_column_within_the_line(line, column):
     assert isinstance(info.value, ParseError)
     assert (info.value.line, info.value.column) == (9, column)
     assert str(info.value).endswith(f"(line 9, column {column})")
+
+
+@pytest.mark.parametrize(
+    "line, column, message",
+    [
+        ("at t1 declareQ", 7, "unknown event 'declareQ'"),
+        ("\tat  t1\tfrob P", 9, "unknown event 'frob'"),
+        ("  at t1", 3, "'at' wants"),
+        ("at t1 expect-reject retro [t0, t1) P", 7, "supports only 'declare'"),
+        ("at t1 declare", 7, "needs at least one formula"),
+        ("at t1  retro t0 to t1 P", 8, "'retro' wants"),
+        ("  frobnicate x", 3, "unknown directive 'frobnicate'"),
+        ("time t2 two", 9, "bad time value 'two'"),
+        ("time  t2\tinf", 10, "time value 'inf' is not finite"),
+        (" time t2", 2, "'time' wants"),
+        ("\tatom R", 2, "'atom' wants"),
+        ("location L # no gloss", 1, "'location' wants"),
+        ("   track Q", 4, "duplicate 'track' line"),
+        (" scenario again", 2, "duplicate 'scenario' line"),
+    ],
+)
+def test_line_errors_report_the_column_of_the_word_they_name(line, column, message):
+    with pytest.raises(ScenarioParseError, match=message) as info:
+        parse_scenario(MINIMAL + line + "\n")
+    assert (info.value.line, info.value.column) == (9, column)
+
+
+def test_a_quoted_gloss_may_hold_a_hash():
+    text = MINIMAL + 'atom R "photon # 1 passed"  # the comment starts here\n'
+    assert parse_scenario(text).atoms[-1] == ("R", "photon # 1 passed")
+    with pytest.raises(ScenarioParseError, match="'atom' wants"):  # unclosed quote
+        parse_scenario(MINIMAL + 'atom R "photon # 1 passed\n')
 
 
 def test_validation_errors():
@@ -262,6 +296,31 @@ def test_retro_row_only_appears_from_assertion_time():
         assert report.truth_value(retro_label, 0.0) == "-"
         assert report.truth_value(retro_label, 1.0) == "-"
         assert report.truth_value(retro_label, 2.0) == "true"
+
+
+def retro_chain(events):
+    """A scenario that re-asserts P about [t0, t1) at each of `events` times."""
+    lines = [MINIMAL.replace("time t1 1\n", "")]
+    lines += [f"time t{k} {k}" for k in range(1, events + 1)]
+    lines += [f"at t{k} retro [t0, t1) P" for k in range(1, events + 1)]
+    return parse_scenario("\n".join(lines) + "\n")
+
+
+def test_retro_events_cost_no_more_than_the_table_they_fill():
+    # The report has one row per retro event and one column per time, so
+    # doubling the events quadruples its cells. 6x leaves room for that and
+    # for noise, and fails a per-cell scan of every retro assertion (7x).
+    def best_of_two(scenario):
+        timings = []
+        for _ in range(2):
+            start = time.perf_counter()
+            run_scenario(scenario)
+            timings.append(time.perf_counter() - start)
+        return min(timings)
+
+    small, large = retro_chain(100), retro_chain(200)
+    assert len(run_scenario(large).truth_rows) == 2 + 200
+    assert best_of_two(large) < 6 * best_of_two(small)
 
 
 def test_eventless_scenario_runs():

@@ -7,7 +7,6 @@ from typing import Iterator, NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nafl.classical import eval_formula
 from nafl.errors import ParseError, UnknownTokenError
 from nafl.syntax import (
     MAX_DEPTH,
@@ -21,8 +20,9 @@ from nafl.syntax import (
     atoms_of,
     format_formula,
     parse_formula,
-    to_nnf,
+    split_line,
 )
+from oracles import eval_formula, to_nnf
 
 
 def test_atom_and_connectives():
@@ -131,6 +131,25 @@ def test_nesting_error_points_at_the_level_past_the_cap():
     with pytest.raises(ParseError) as info:
         parse_formula("(" * MAX_DEPTH + "A" + ")" * MAX_DEPTH + " -> B")
     assert info.value.column == 2 * MAX_DEPTH + 3
+
+
+@pytest.mark.parametrize(
+    "line, column, words",
+    [
+        ("atom P", 1, ("atom", 1, "P", 6)),
+        ("\t at  t1 declare Q  ", 1, ("at", 3, "t1 declare Q", 7)),
+        ("t1 declare Q", 4, ("t1", 4, "declare Q", 7)),
+        ("query", 1, ("query", 1, "", 6)),
+        ('atom P "a # b" # c', 1, ("atom", 1, 'P "a # b"', 6)),
+        ('atom P "a" # "b"', 1, ("atom", 1, 'P "a"', 6)),
+        ('axiom A " B # c', 1, ("axiom", 1, 'A " B', 7)),
+        ('axiom A " # " B', 1, ("axiom", 1, 'A " # " B', 7)),
+        ("  # a comment", 1, None),
+        ("", 1, None),
+    ],
+)
+def test_split_line(line, column, words):
+    assert split_line(line, column) == words
 
 
 def test_printer_minimal_parentheses():

@@ -9,9 +9,7 @@ from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_classical import entails_by_enumeration
 
-from nafl import classical
 from nafl.errors import (
     BoundExceededError,
     IllegalAxiomError,
@@ -24,6 +22,7 @@ from nafl.errors import (
 )
 from nafl.syntax import And, Atom, Iff, Implies, Not, Or, atoms_of, parse_formula as pf
 from nafl.theories import PropStatus, Theory, load_theory, parse_theory
+from oracles import entails_by_enumeration, eval_formula, valuations
 
 
 def t0(*atoms):
@@ -353,12 +352,24 @@ def test_parse_theory_reports_file_lines():
         ("query a | (", 12),
         ("axiom\tA &\t@", 11),
         ("\tquery\t\ta |", 12),
+        # a line error points at the directive
+        ("  wibble A", 3),
+        ("\ttheory S", 2),
+        ("atoms   # none", 1),
+        (" axiom", 2),
+        ("   query  ", 4),
     ],
 )
 def test_parse_theory_columns_count_from_the_start_of_the_line(line, column):
     with pytest.raises(ParseError) as info:
         parse_theory(f"theory T\natoms A B a\n{line}\n")
     assert (info.value.line, info.value.column) == (3, column)
+
+
+def test_an_unclosed_quote_does_not_hide_a_comment():
+    with pytest.raises(UnknownTokenError, match="unknown token '\"'") as info:
+        parse_theory('theory T\natoms A B\naxiom A " B  # the comment\n')
+    assert (info.value.line, info.value.column) == (3, 9)
 
 
 def test_parse_theory_keeps_the_class_of_a_formula_error():
@@ -482,8 +493,8 @@ def _oracle_legal(axioms, phi):
 def _oracle_models(names, axioms):
     return {
         tuple(sorted(v.items()))
-        for v in classical.valuations(names)
-        if all(classical.eval_formula(axiom, v) for axiom in axioms)
+        for v in valuations(names)
+        if all(eval_formula(axiom, v) for axiom in axioms)
     }
 
 

@@ -8,6 +8,7 @@ from nafl.errors import (
     BeforeExperimentError,
     IllegalAxiomError,
     IllegalPropositionError,
+    NaflError,
     OutOfOrderTimeError,
     TimelineError,
     UnknownAtomError,
@@ -150,10 +151,27 @@ def test_retro_assertion_requires_provability():
 
 def test_retro_assertion_interval_sanity():
     tl = two_epochs()
-    with pytest.raises(ValueError):
+    with pytest.raises(TimelineError, match=r"^empty interval \[1.0, 1.0\)$"):
         tl.retro_assert(2.0, (1.0, 1.0), pf("P"))
-    with pytest.raises(ValueError):
+    with pytest.raises(TimelineError, match="^interval end 3.0 lies after the assertion time 2.0$"):
         tl.retro_assert(2.0, (0.0, 3.0), pf("P"))
+
+
+def test_a_bad_retro_interval_is_a_nafl_error():
+    with pytest.raises(NaflError):
+        two_epochs().retro_assert(2, (1, 1), pf("P"))
+
+
+def test_truth_counts_a_retro_formula_from_its_earliest_assertion():
+    tl = (
+        Timeline.begin(base(), 0.0)
+        .declare(1.0, [pf("Q")])
+        .retro_assert(3.0, (0.0, 1.0), pf("P"))
+        .retro_assert(2.0, (0.0, 1.0), pf("P"))
+    )
+    assert [tl.truth_at(t, pf("P")) for t in (1.5, 2.0, 3.0)] == [
+        TruthValue.NEITHER, TruthValue.TRUE, TruthValue.TRUE,
+    ]
 
 
 def test_retro_assertion_without_a_single_bridge():
