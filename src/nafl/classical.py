@@ -16,7 +16,7 @@ enumeration, which ``tests/oracles.py`` keeps out of the package.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import VocabularyError
 from .syntax import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of
@@ -78,18 +78,6 @@ def table(formula: Formula, cols: Mapping[str, int], full: int) -> int:
         return (full ^ left) | right
     assert isinstance(formula, Iff)
     return full ^ left ^ right
-
-
-def set_bits(models: int) -> Iterator[int]:
-    """The valuations a table holds, lowest first."""
-    for index, digit in enumerate(reversed(bin(models)[2:])):
-        if digit == "1":
-            yield index
-
-
-def valuation(index: int, vocab: Sequence[str]) -> dict[str, bool]:
-    """Valuation number `index` of a sorted vocabulary."""
-    return {name: bool(index >> k & 1) for k, name in enumerate(vocab)}
 
 
 def _models(*formulas: Formula) -> int:

@@ -8,17 +8,19 @@ Five subcommands:
 * sim      - run the photon Monte Carlo and summarize it;
 * repl     - interactive timeline session on a growing theory.
 
-Exit codes: 0 success; 1 malformed input (parse or validation), or no
-numpy for sim; 2 a well-formed theory or run was rejected (illegal axiom,
-inconsistency, or too few samples per bin); 3 a soundness check failed
-(single-model-kind audit or duality bound); 4 an expect-reject annotation
-did not match what actually happened.
+Exit codes: 0 success; 1 malformed input (parse or validation), no numpy
+for sim, or stdout closed early by its reader (a broken pipe); 2 a
+well-formed theory or run was rejected (illegal axiom, inconsistency, or
+too few samples per bin); 3 a soundness check failed (single-model-kind
+audit or duality bound); 4 an expect-reject annotation did not match what
+actually happened.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -394,9 +396,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout early fails here, not at exit
+        return code
     except UnreadableFileError as exc:  # a theory or scenario file
         return _fail(str(exc), EXIT_BAD_INPUT)
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: send what is left to devnull.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -1,17 +1,18 @@
-"""Classical model enumeration and superposed-model evaluation.
+"""Classical models read from a theory's table, and the superposed model.
 
-A consistent theory that leaves atoms undecided has several classical models.
-The superposed model is their superposition: an undecided atom counts as
-nonclassically true together with its negation, because neither has been
-declared. Evaluation of compound formulas is paraconsistent; a contradiction
-over a superposed atom holds without everything else following from it.
+A consistent theory that leaves atoms undecided has several classical models,
+one per set bit of its table of models. The superposed model is their
+superposition, evaluated in Priest's Logic of Paradox from the atom statuses
+the theory has decided: an undecided atom counts as nonclassically true
+together with its negation, because neither has been declared. A
+contradiction over a superposed atom holds without everything else following.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping
 
-from . import classical
 from .errors import NoSuperpositionError, UnknownAtomError
 from .record import record
 from .syntax import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of
@@ -39,11 +40,14 @@ class ClassicalModel:
 
 
 def classical_models(theory: Theory) -> frozenset[ClassicalModel]:
-    """Every valuation of the vocabulary satisfying all axioms."""
-    vocab = tuple(sorted(theory.vocabulary))
+    """Every valuation satisfying all axioms, one per set bit v of the theory's
+    table; bit k of v is the value of the k-th atom in sorted order."""
+    pairs = [((name, False), (name, True)) for name in sorted(theory.vocabulary)]
+    bits = bin(theory._models)[:1:-1]
     return frozenset(
-        ClassicalModel.from_valuation(classical.valuation(index, vocab))
-        for index in classical.set_bits(theory._models)
+        ClassicalModel(tuple([pair[index >> k & 1] for k, pair in enumerate(pairs)]))
+        for index, bit in enumerate(bits)
+        if bit == "1"
     )
 
 
@@ -61,6 +65,14 @@ class NonclassicalModel:
     components: frozenset[ClassicalModel]
     atom_status: tuple[tuple[str, PropStatus], ...]
 
+    @functools.cached_property
+    def _literals(self) -> dict[str, tuple[bool, bool]]:
+        """Atom -> (truth of the atom, truth of its negation)."""
+        return {
+            name: (status is not PropStatus.REFUTABLE, status is not PropStatus.PROVABLE)
+            for name, status in self.atom_status
+        }
+
     @property
     def superposed_atoms(self) -> frozenset[str]:
         return frozenset(
@@ -69,12 +81,11 @@ class NonclassicalModel:
         )
 
     def literal_truth(self, name: str, negated: bool = False) -> bool:
-        for atom, status in self.atom_status:
-            if atom == name:
-                if negated:
-                    return status is not PropStatus.PROVABLE
-                return status is not PropStatus.REFUTABLE
-        raise UnknownAtomError(f"atom {name!r} not in this model's vocabulary")
+        try:
+            holds, fails = self._literals[name]
+        except KeyError:
+            raise UnknownAtomError(f"atom {name!r} not in this model's vocabulary") from None
+        return fails if negated else holds
 
 
 def build_nonclassical(theory: Theory) -> NonclassicalModel:
@@ -83,52 +94,43 @@ def build_nonclassical(theory: Theory) -> NonclassicalModel:
     Raises NoSuperpositionError when every atom is decided (the theory's
     single model kind is classical).
     """
-    statuses = tuple(
-        (name, theory.atom_status(name)) for name in sorted(theory.vocabulary)
-    )
-    superposed = [n for n, s in statuses if s is PropStatus.UNDECIDABLE]
-    if not superposed:
+    statuses = tuple((name, theory.atom_status(name)) for name in sorted(theory.vocabulary))
+    if all(status is not PropStatus.UNDECIDABLE for _, status in statuses):
         raise NoSuperpositionError(
             f"every atom of theory {theory.name!r} is decided; "
             "the model is classical, not superposed"
         )
-    components = classical_models(theory)
-    for name in superposed:
-        values = {model.value(name) for model in components}
-        if values != {True, False}:
-            raise AssertionError(
-                f"undecided atom {name!r} does not split the classical models"
-            )
-    return NonclassicalModel(theory.name, components, statuses)
+    return NonclassicalModel(theory.name, classical_models(theory), statuses)
 
 
 def nc_eval(model: NonclassicalModel, phi: Formula) -> bool:
     """Paraconsistent evaluation: negations pushed down to literals.
 
     Agrees with looking up literals in the negation normal form of phi
-    (``to_nnf`` in tests/oracles.py, the tests' oracle), but visits each
-    node of phi once instead of expanding -> and <->, so its cost is linear
-    in the size of phi.
+    (``to_nnf`` in tests/oracles.py) and with three-valued LP evaluation
+    (``lp_eval`` there), but visits each node of phi once instead of
+    expanding -> and <->, so its cost is linear in the size of phi.
     """
-    known = {name for name, _ in model.atom_status}
-    stray = atoms_of(phi) - known
-    if stray:
+    literals = model._literals
+    try:
+        return _nc_pair(literals, phi)[0]
+    except KeyError:
+        stray = atoms_of(phi).difference(literals)
         raise UnknownAtomError(
             f"formula {phi} uses atom(s) {', '.join(sorted(stray))} "
             "outside the model's vocabulary"
-        )
-    return _nc_pair(model, phi)[0]
+        ) from None
 
 
-def _nc_pair(model: NonclassicalModel, node: Formula) -> tuple[bool, bool]:
+def _nc_pair(literals: Mapping[str, tuple[bool, bool]], node: Formula) -> tuple[bool, bool]:
     """(truth of node, truth of its negation) in the superposed model."""
     if isinstance(node, Atom):
-        return model.literal_truth(node.name), model.literal_truth(node.name, negated=True)
+        return literals[node.name]
     if isinstance(node, Not):
-        holds, fails = _nc_pair(model, node.operand)
+        holds, fails = _nc_pair(literals, node.operand)
         return fails, holds
-    left, not_left = _nc_pair(model, node.left)
-    right, not_right = _nc_pair(model, node.right)
+    left, not_left = _nc_pair(literals, node.left)
+    right, not_right = _nc_pair(literals, node.right)
     if isinstance(node, And):
         return left and right, not_left or not_right
     if isinstance(node, Or):

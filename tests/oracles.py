@@ -1,10 +1,12 @@
 """Reference implementations the tests check nafl against.
 
 nafl decides every formula through one path, the truth tables of
-``nafl.classical``. These are the slow, obviously correct routes the tests
-compare it with: evaluation under a single valuation, enumeration of every
-valuation, and the negation normal form that defines the superposed
-model's evaluation. No program path uses them.
+``nafl.classical``, and evaluates the superposed model from the atom
+statuses a theory has decided. These are the slow, obviously correct routes
+the tests compare it with: evaluation under a single valuation, enumeration
+of every valuation and of a theory's models, the negation normal form that
+defines the superposed model's evaluation, and Priest's three-valued Logic
+of Paradox values. No program path uses them.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Iterator, Mapping, Sequence
 
 from nafl.classical import vocabulary_of
 from nafl.syntax import And, Atom, Formula, Iff, Implies, Not, Or
+from nafl.theories import PropStatus
 
 
 def eval_formula(formula: Formula, valuation: Mapping[str, bool]) -> bool:
@@ -34,6 +37,15 @@ def eval_formula(formula: Formula, valuation: Mapping[str, bool]) -> bool:
 def valuations(vocab: Sequence[str]) -> Iterator[dict[str, bool]]:
     for bits in itertools.product((False, True), repeat=len(vocab)):
         yield dict(zip(vocab, bits))
+
+
+def models_by_enumeration(vocab, axioms) -> set[tuple[tuple[str, bool], ...]]:
+    """The valuations satisfying every axiom, each as a sorted (atom, value) tuple."""
+    return {
+        tuple(sorted(v.items()))
+        for v in valuations(vocab)
+        if all(eval_formula(axiom, v) for axiom in axioms)
+    }
 
 
 def is_satisfiable_by_enumeration(axioms):
@@ -80,3 +92,30 @@ def to_nnf(formula: Formula, negate: bool = False) -> Formula:
         Or(to_nnf(left, True), to_nnf(right, False)),
         Or(to_nnf(left, False), to_nnf(right, True)),
     )
+
+
+# Priest, "The logic of paradox" (1979): an undecided atom is both true and
+# false, the middle value; a formula holds when its value is designated.
+LP_VALUES = {PropStatus.PROVABLE: 1.0, PropStatus.UNDECIDABLE: 0.5, PropStatus.REFUTABLE: 0.0}
+
+
+def lp_value(formula: Formula, statuses: Mapping[str, PropStatus]) -> float:
+    """The LP value of formula: 1 true only, 0 false only, 1/2 both."""
+    if isinstance(formula, Atom):
+        return LP_VALUES[statuses[formula.name]]
+    if isinstance(formula, Not):
+        return 1 - lp_value(formula.operand, statuses)
+    left, right = lp_value(formula.left, statuses), lp_value(formula.right, statuses)
+    if isinstance(formula, And):
+        return min(left, right)
+    if isinstance(formula, Or):
+        return max(left, right)
+    if isinstance(formula, Implies):
+        return max(1 - left, right)
+    assert isinstance(formula, Iff)
+    return min(max(1 - left, right), max(1 - right, left))
+
+
+def lp_eval(formula: Formula, statuses: Mapping[str, PropStatus]) -> bool:
+    """True iff formula's LP value is designated (at least 1/2)."""
+    return lp_value(formula, statuses) >= 0.5

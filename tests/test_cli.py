@@ -1,11 +1,13 @@
 """Command-line behavior: output and the exit-code contract.
 
-0 success, 1 malformed input, 2 well-formed but rejected, 3 failed
-soundness check, 4 expectation mismatch.
+0 success, 1 malformed input (or stdout closed early by its reader), 2
+well-formed but rejected, 3 failed soundness check, 4 expectation mismatch.
 """
 
 import io
+import json
 import types
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +204,32 @@ def test_duality_table(capsys):
     out = capsys.readouterr().out
     assert "D^2+V^2" in out
     assert "duality: PASS" in out
+
+
+CLOSED_PIPE = """\
+import json, os, subprocess, sys
+read, write = os.pipe()
+os.close(read)
+proc = subprocess.run(
+    [sys.executable, "-m", "nafl.cli", *{argv!r}], stdout=write, stderr=subprocess.PIPE, text=True
+)
+print(json.dumps([proc.returncode, proc.stderr]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "afshar"],
+        ["duality", "afshar"],
+        ["check", str(Path(__file__).parent / "golden" / "theories" / "qm.thy")],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_stdout_closed_by_its_reader_exits_1_without_a_traceback(argv, run_python):
+    code, stderr = json.loads(run_python(CLOSED_PIPE.format(argv=argv)))
+    assert "Traceback" not in stderr
+    assert code == 1
 
 
 # -- sim -----------------------------------------------------------------------

@@ -4,9 +4,10 @@ import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from nafl import models
-from nafl.errors import NoSuperpositionError, UnknownAtomError, VocabularyError
+from nafl.errors import NaflError, NoSuperpositionError, UnknownAtomError, VocabularyError
 from nafl.models import (
     ClassicalModel,
     build_nonclassical,
@@ -15,7 +16,8 @@ from nafl.models import (
 )
 from nafl.syntax import And, Atom, Iff, Implies, Not, Or, parse_formula as pf
 from nafl.theories import PropStatus, Theory
-from oracles import eval_formula, to_nnf
+from oracles import eval_formula, lp_eval, models_by_enumeration, to_nnf
+from test_theories import extend_chains
 
 
 def test_empty_theory_over_one_atom_has_two_models():
@@ -62,6 +64,41 @@ def test_sixteen_atoms_give_classical_and_superposed_models():
     found = {tuple(v for _, v in m.assignment) for m in classical_models(chain)}
     assert found == {(False,) * k + (True,) * (16 - k) for k in range(17)}
     assert build_nonclassical(chain).superposed_atoms == frozenset(names)
+    # with no axioms at all, every valuation is a model
+    free = build_nonclassical(Theory("F", names, ()))
+    assert len(free.components) == 1 << 16
+    assert {tuple(v for _, v in m.assignment) for m in free.components} == set(
+        itertools.product((False, True), repeat=16)
+    )
+    assert free.superposed_atoms == frozenset(names)
+
+
+def _grown(names, steps):
+    """The theories of one extend chain, until a step is rejected."""
+    try:
+        theory = Theory("T", names, steps[0])
+        yield theory
+        for delta in steps[1:]:
+            theory = theory.extend(delta)
+            yield theory
+    except NaflError:
+        return
+
+
+@settings(max_examples=150, deadline=None)
+@given(extend_chains())
+def test_undecided_atoms_are_exactly_those_the_models_split_on(case):
+    names, steps, _ = case
+    for theory in _grown(names, steps):
+        expected = models_by_enumeration(sorted(names), theory.axioms)
+        assert {m.assignment for m in classical_models(theory)} == expected
+        split = {name for name in names if len({dict(m)[name] for m in expected}) == 2}
+        assert set(theory.undecided_atoms()) == split
+        if split:
+            assert build_nonclassical(theory).superposed_atoms == split
+        else:
+            with pytest.raises(NoSuperpositionError):
+                build_nonclassical(theory)
 
 
 def test_superposed_model_over_undecided_atoms():
@@ -173,6 +210,16 @@ def test_nc_eval_matches_the_nnf_oracle_on_small_chains(theory):
         for phi in chains(length):
             for formula in (phi, Not(phi)):
                 assert nc_eval(model, formula) == nnf_oracle(model, formula), formula
+
+
+@pytest.mark.parametrize("theory", MODEL_THEORIES, ids=lambda t: t.name)
+def test_nc_eval_matches_three_valued_lp_on_small_chains(theory):
+    model = build_nonclassical(theory)
+    statuses = dict(model.atom_status)
+    for length in range(1, 5):
+        for phi in chains(length):
+            for formula in (phi, Not(phi)):
+                assert nc_eval(model, formula) == lp_eval(formula, statuses), formula
 
 
 def test_nc_eval_visits_each_node_once(monkeypatch):

@@ -22,7 +22,7 @@ from nafl.errors import (
 )
 from nafl.syntax import And, Atom, Iff, Implies, Not, Or, atoms_of, parse_formula as pf
 from nafl.theories import PropStatus, Theory, load_theory, parse_theory
-from oracles import entails_by_enumeration, eval_formula, valuations
+from oracles import entails_by_enumeration, models_by_enumeration
 
 
 def t0(*atoms):
@@ -490,14 +490,6 @@ def _oracle_legal(axioms, phi):
     )
 
 
-def _oracle_models(names, axioms):
-    return {
-        tuple(sorted(v.items()))
-        for v in valuations(names)
-        if all(eval_formula(axiom, v) for axiom in axioms)
-    }
-
-
 def _table_models(theory):
     """The valuations set in a theory's table: bit k of index i is atom k's value."""
     vocab = sorted(theory.vocabulary)
@@ -532,7 +524,7 @@ def test_extend_chains_agree_with_fresh_theories_and_the_oracle(case):
             assert table.call_count <= 1
             assert fresh.classify(phi) is status
             assert grown.is_legal(phi) is fresh.is_legal(phi) is legal
-        models = _oracle_models(names, grown.axioms)
+        models = models_by_enumeration(names, grown.axioms)
         assert _table_models(grown) == _table_models(fresh) == models
         if delta is None:
             return

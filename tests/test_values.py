@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from nafl.duality import BOUND_TOLERANCE, DualityReport
-from nafl.models import ClassicalModel, classical_models
+from nafl.models import ClassicalModel, build_nonclassical, classical_models, nc_eval
 from nafl.record import record
 from nafl.scenarios import DeclareEvent
 from nafl.syntax import And, Atom, Iff, Implies, Not, Or, parse_formula as pf
@@ -131,6 +131,18 @@ def test_classical_models_deduplicate_in_a_frozenset():
     )
     assert len(models) == 1
     assert len(classical_models(Theory("T", {"P", "Q"}, (pf("Q -> P"),)))) == 3
+
+
+def test_superposed_model_value_unchanged_by_its_literal_cache():
+    theory = Theory("T", {"P", "Q"}, (pf("Q"),))
+    fresh, used = build_nonclassical(theory), build_nonclassical(theory)
+    before = (repr(used), hash(used))
+    assert nc_eval(used, pf("P & ~P")) is True
+    assert "_literals" in vars(used) and "_literals" not in vars(fresh)
+    assert (repr(used), hash(used)) == before == (repr(fresh), hash(fresh))
+    assert used == fresh
+    for model in (fresh, used):
+        assert pickle.loads(pickle.dumps(model)) == model
 
 
 def test_record_init_checks_its_arguments():
