@@ -30,6 +30,7 @@ from .duality import (
 from .errors import (
     BeforeExperimentError,
     BoundExceededError,
+    ConfigError,
     IllegalAxiomError,
     IllegalPropositionError,
     InconsistentTheoryError,
@@ -147,6 +148,7 @@ __all__ = [
     "BeforeExperimentError",
     "BoundExceededError",
     "ClassicalModel",
+    "ConfigError",
     "DualityRecord",
     "DualityReport",
     "Epoch",

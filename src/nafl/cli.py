@@ -27,6 +27,7 @@ from pathlib import Path
 from . import photonsim
 from .duality import _endpoints
 from .errors import (
+    ConfigError,
     IllegalAxiomError,
     IllegalPropositionError,
     InconsistentTheoryError,
@@ -122,6 +123,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 # sim
 # --------------------------------------------------------------------------
 
+_GRID_WORDS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+
+
+def _grid_switch(text: str) -> bool:
+    try:
+        return _GRID_WORDS[text.lower()]
+    except KeyError:
+        raise ValueError(
+            f"grid wants one of {'/'.join(_GRID_WORDS)}; got {text!r}"
+        ) from None
+
+
 _CONFIG_FIELDS = {
     "photons": int,
     "seed": int,
@@ -131,7 +147,7 @@ _CONFIG_FIELDS = {
     "envelope": str,
     "envelope_width": float,
     "mode": str,
-    "grid": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "grid": _grid_switch,
 }
 
 
@@ -142,12 +158,15 @@ def _read_config_file(path: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"line {number}: expected key=value, got {raw!r}")
+            raise ConfigError(f"line {number}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _CONFIG_FIELDS:
-            raise ValueError(f"line {number}: unknown setting {key!r}")
-        values[key] = _CONFIG_FIELDS[key](value.strip())
+            raise ConfigError(f"line {number}: unknown setting {key!r}")
+        try:
+            values[key] = _CONFIG_FIELDS[key](value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"line {number}: {exc}") from None
     return values
 
 
@@ -162,7 +181,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
     if args.config:
         try:
             settings.update(_read_config_file(args.config))
-        except (ValueError, UnreadableFileError) as exc:
+        except (ConfigError, UnreadableFileError) as exc:
             return _fail(f"config file: {exc}", EXIT_BAD_INPUT)
     for name in (
         "photons", "seed", "period", "half_extent", "wire_width",
@@ -180,7 +199,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
     try:
         cfg = photonsim.SimConfig(**settings)
         photonsim._wire_windows(cfg, args.bins)
-    except (ValueError, NaflError) as exc:
+    except NaflError as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
 
     result = photonsim.simulate(cfg, workers=args.workers)
@@ -197,6 +216,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
     print(f"analytic blocked fraction: {oracle:.10e}")
 
     code = EXIT_OK
+    recon = None
     try:
         recon = photonsim.reconstruct(result, args.bins)
     except TooFewSamplesError as exc:
@@ -211,11 +231,10 @@ def cmd_sim(args: argparse.Namespace) -> int:
         print(f"fringe minima aligned with wire centers: {aligned}")
 
     if args.out:
-        import numpy as np
-
-        counts, edges = np.histogram(
-            result.detected_x, bins=args.bins, range=(-cfg.extent, cfg.extent)
-        )
+        if recon is None:
+            counts, edges = photonsim._detected_histogram(result, args.bins)
+        else:
+            counts, edges = recon.counts, recon.bin_edges
         lines = ["bin_left,bin_right,count"]
         for i, count in enumerate(counts):
             lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(count)}")

@@ -92,6 +92,11 @@ class ScenarioExecutionError(ScenarioError):
         self.cause = cause
 
 
+class ConfigError(NaflError, ValueError):
+    """A simulation setting outside what the sim accepts. Also a ValueError,
+    so callers that catch that keep working."""
+
+
 class TooFewSamplesError(NaflError):
     """Histogram bins too thin for a chi-square test (expected count < 5)."""
 

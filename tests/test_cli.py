@@ -9,9 +9,10 @@ import json
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nafl import cli
+from nafl import cli, photonsim
 
 GOOD_THEORY = """\
 theory QM
@@ -334,6 +335,38 @@ def test_sim_config_file_with_flag_override(tmp_path, capsys):
     for unreadable in (binary, tmp_path):
         assert run(["sim", "--config", str(unreadable)]) == 1
         assert capsys.readouterr().err.startswith("error: config file: ")
+
+
+def test_sim_config_grid_takes_only_on_and_off_words(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("photons = 20000\nseed = 2\ngrid = ture\n", encoding="utf-8")
+    assert run(["sim", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config file: line 3: grid wants one of ")
+    assert captured.out == ""
+    words = (("OFF", "grid=off"), ("No", "grid=off"), ("Yes", "grid=on"), ("1", "grid=on"))
+    for word, shown in words:
+        cfg.write_text(f"photons = 20000\nseed = 2\ngrid = {word}\n", encoding="utf-8")
+        assert run(["sim", "--config", str(cfg)]) == 0
+        assert shown in capsys.readouterr().out
+
+
+def test_sim_config_bad_number_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("# photons next\nphotons = 1e6\n", encoding="utf-8")
+    assert run(["sim", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: config file: line 2: ")
+
+
+def test_sim_out_writes_the_reconstructed_histogram(tmp_path, capsys):
+    out = tmp_path / "hist.csv"
+    argv = ["sim", "--preset", "--photons", "20000", "--seed", "5", "--bins", "40"]
+    assert run([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    res = photonsim.simulate(photonsim.calibration_preset(20000, 5))
+    counts, edges = np.histogram(res.detected_x, bins=40, range=(-10.0, 10.0))
+    rows = [f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(c)}" for i, c in enumerate(counts)]
+    assert out.read_text(encoding="utf-8") == "\n".join(["bin_left,bin_right,count", *rows]) + "\n"
 
 
 def test_sim_no_grid(capsys):

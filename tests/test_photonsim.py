@@ -18,13 +18,14 @@ w - sin(pi w)/pi (period units), whose cubic leading term is
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from nafl import photonsim
-from nafl.errors import NaflError, TooFewSamplesError
+from nafl.errors import ConfigError, NaflError, TooFewSamplesError
 from nafl.photonsim import (
     CHUNK_SIZE,
     MAX_HALF_EXTENT,
@@ -53,54 +54,70 @@ def small(**overrides):
 
 # -- configuration ------------------------------------------------------------
 
+BAD_FIELDS = [
+    dict(photons=0),
+    dict(period=-1.0),
+    dict(wire_width=0.5),  # must stay below period/2
+    dict(wire_width=0.0),
+    dict(half_extent=0),
+    dict(mode="warp"),
+    dict(envelope="cosh"),
+    dict(envelope="gaussian"),  # width required
+    dict(envelope_width=3.0),  # width without gaussian
+]
+
+OUT_OF_RANGE = [dict(seed=-1), dict(seed=2**64), dict(period=math.inf), dict(period=math.nan)]
+
+# These configurations would ask for gigabytes or hours; they are only ever
+# handed to the validation that rejects them, never simulated.
+UNBOUNDED_WORK = [
+    dict(envelope="gaussian", envelope_width=1e-9),
+    dict(envelope="gaussian", envelope_width=1e-6),
+    dict(envelope="gaussian", envelope_width=0.99 * 20.0 / MAX_PANELS),
+    dict(envelope="gaussian", envelope_width=math.nan),
+    dict(half_extent=MAX_HALF_EXTENT + 1),
+    dict(half_extent=10**9),
+    dict(period=1e307, wire_width=0.1),
+]
+
+# the reciprocal of the quantum norm (about 1e-319) overflows
+UNNORMALIZABLE = dict(period=1e-320, wire_width=1e-321)
+
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        small(photons=0)
-    with pytest.raises(ValueError):
-        small(period=-1.0)
-    with pytest.raises(ValueError):
-        small(wire_width=0.5)  # must stay below period/2
-    with pytest.raises(ValueError):
-        small(wire_width=0.0)
-    with pytest.raises(ValueError):
-        small(half_extent=0)
-    with pytest.raises(ValueError):
-        small(mode="warp")
-    with pytest.raises(ValueError):
-        small(envelope="cosh")
-    with pytest.raises(ValueError):
-        small(envelope="gaussian")  # width required
-    with pytest.raises(ValueError):
-        small(envelope_width=3.0)  # width without gaussian
+    for overrides in BAD_FIELDS:
+        with pytest.raises(ValueError):
+            small(**overrides)
     assert small(envelope="gaussian", envelope_width=3.0).extent == 10.0
 
 
-@pytest.mark.parametrize(
-    "overrides", [dict(seed=-1), dict(seed=2**64), dict(period=math.inf), dict(period=math.nan)]
-)
+@pytest.mark.parametrize("overrides", OUT_OF_RANGE)
 def test_config_rejects_out_of_range_seeds_and_periods(overrides):
     with pytest.raises(ValueError):
         small(**overrides)
 
 
-# These configurations would ask for gigabytes or hours; they are only ever
-# handed to the validation that rejects them, never simulated.
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        dict(envelope="gaussian", envelope_width=1e-9),
-        dict(envelope="gaussian", envelope_width=1e-6),
-        dict(envelope="gaussian", envelope_width=0.99 * 20.0 / MAX_PANELS),
-        dict(envelope="gaussian", envelope_width=math.nan),
-        dict(half_extent=MAX_HALF_EXTENT + 1),
-        dict(half_extent=10**9),
-        dict(period=1e307, wire_width=0.1),
-    ],
-)
+@pytest.mark.parametrize("overrides", UNBOUNDED_WORK)
 def test_config_rejects_unbounded_work(overrides):
     with pytest.raises(ValueError):
         small(**overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides", [*BAD_FIELDS, *OUT_OF_RANGE, *UNBOUNDED_WORK, UNNORMALIZABLE]
+)
+def test_every_rejected_config_is_a_nafl_error_and_a_value_error(overrides):
+    with pytest.raises(NaflError) as info:
+        small(**overrides)
+    assert isinstance(info.value, ConfigError)
+    assert isinstance(info.value, ValueError)
+
+
+def test_a_bad_worker_count_or_oracle_mode_is_a_config_error():
+    with pytest.raises(ConfigError):
+        simulate(small(), workers=0)
+    with pytest.raises(ConfigError):
+        analytic_blocked_fraction("warp", small())
 
 
 def test_config_accepts_the_bounds_themselves():
@@ -109,9 +126,8 @@ def test_config_accepts_the_bounds_themselves():
 
 
 def test_config_rejects_a_window_mass_that_cannot_be_normalized():
-    # the reciprocal of the quantum norm (about 1e-319) overflows
     with pytest.raises(ValueError, match="cannot be normalized"):
-        small(period=1e-320, wire_width=1e-321)
+        small(**UNNORMALIZABLE)
 
 
 def test_the_largest_seed_simulates():
@@ -302,17 +318,22 @@ def test_result_shapes_and_bookkeeping():
     res = simulate(cfg)
     assert res.photons == 5000
     assert res.x.shape == (5000,)
-    assert res.slits.shape == (5000,)
+    assert res.upper.shape == (5000,)
     assert res.blocked.shape == (5000,)
-    assert set(np.unique(res.slits)) <= {"U", "L"}
+    assert res.upper.dtype == bool
     assert res.blocked_count == int(res.blocked.sum())
     assert reconstruct(res, 20).counts.sum() == 5000 - res.blocked_count
     assert np.all(np.abs(res.x) <= cfg.extent)
 
 
+def test_a_result_holds_ten_bytes_per_photon():
+    res = simulate(small(photons=5000))
+    assert res.x.nbytes + res.blocked.nbytes + res.upper.nbytes == 10 * res.photons
+
+
 def test_slit_labels_are_a_fair_coin_independent_of_position():
     res = simulate(small(photons=200_000, seed=5))
-    upper = res.slits == "U"
+    upper = res.upper
     assert abs(upper.mean() - 0.5) < 0.005
     # position distribution conditional on the label stays the same pattern
     assert abs(res.x[upper].mean() - res.x[~upper].mean()) < 0.1
@@ -320,7 +341,7 @@ def test_slit_labels_are_a_fair_coin_independent_of_position():
 
 def test_single_slit_labels_every_photon_upper():
     res = simulate(small(photons=4000, mode="single-slit"))
-    assert set(np.unique(res.slits)) == {"U"}
+    assert res.upper.all()
 
 
 def test_blocked_photons_lie_inside_wires_and_only_those():
@@ -381,20 +402,20 @@ def test_sampler_matches_the_plain_inverse_transform(mode, envelope):
                 envelope=envelope, envelope_width=width)
     cdf, xs = photonsim._cumulative_table(mode, photonsim._shape(cfg))
     edges = np.ravel(make_grid(cfg))
-    slits, x, blocked = [], [], []
+    upper, x, blocked = [], [], []
     for index, start in enumerate(range(0, cfg.photons, CHUNK_SIZE)):
         count = min(CHUNK_SIZE, cfg.photons - start)
         stream = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
         draws = np.random.default_rng(stream).random((count, 2))
         x.append(np.interp(draws[:, 1], cdf, xs))
         blocked.append(np.searchsorted(edges, x[-1], side="right") % 2 == 1)
-        labels = np.where(draws[:, 0] < 0.5, "U", "L")
-        slits.append(np.full(count, "U") if mode == "single-slit" else labels)
+        labels = draws[:, 0] < 0.5
+        upper.append(np.full(count, True) if mode == "single-slit" else labels)
     for workers in (1, 2):
         res = simulate(cfg, workers=workers)
         assert np.array_equal(res.x, np.concatenate(x))
         assert np.array_equal(res.blocked, np.concatenate(blocked))
-        assert np.array_equal(res.slits, np.concatenate(slits))
+        assert np.array_equal(res.upper, np.concatenate(upper))
 
 
 def test_chunk_streams_depend_only_on_seed_and_index():
@@ -402,7 +423,7 @@ def test_chunk_streams_depend_only_on_seed_and_index():
     short = simulate(small(photons=CHUNK_SIZE, seed=3))
     long = simulate(small(photons=CHUNK_SIZE + 999, seed=3))
     assert np.array_equal(long.x[:CHUNK_SIZE], short.x)
-    assert np.array_equal(long.slits[:CHUNK_SIZE], short.slits)
+    assert np.array_equal(long.upper[:CHUNK_SIZE], short.upper)
 
 
 def test_monte_carlo_agrees_with_quadrature():
@@ -442,6 +463,30 @@ def test_reconstruction_accepts_the_quantum_pattern():
     assert report.minima_aligned
     assert len(report.minima) == len(wire_centers(res.config))
     assert report.expected.sum() == pytest.approx(res.detected_x.size, rel=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["quantum", "classical"])
+def test_detected_histogram_equals_the_histogram_of_the_detected_arrivals(mode):
+    res = simulate(small(photons=100_000, seed=6, mode=mode))
+    counts, edges = photonsim._detected_histogram(res, 100)
+    expected_counts, expected_edges = np.histogram(
+        res.detected_x, bins=100, range=(-res.config.extent, res.config.extent)
+    )
+    assert counts.dtype == expected_counts.dtype
+    assert np.array_equal(counts, expected_counts)
+    assert np.array_equal(edges, expected_edges)
+
+
+def test_reconstruct_never_copies_the_detected_photons():
+    res = simulate(calibration_preset(1_000_000, 3))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        reconstruct(res, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held < res.x.nbytes / 2
 
 
 def test_reconstruction_rejects_an_envelope_shaped_pattern():
