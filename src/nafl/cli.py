@@ -8,12 +8,18 @@ Five subcommands:
 * sim      - run the photon Monte Carlo and summarize it;
 * repl     - interactive timeline session on a growing theory.
 
-Exit codes: 0 success; 1 malformed input (parse or validation), no numpy
-for sim, or stdout closed early by its reader (a broken pipe); 2 a
-well-formed theory or run was rejected (illegal axiom, inconsistency, or
-too few samples per bin); 3 a soundness check failed (single-model-kind
-audit or duality bound); 4 an expect-reject annotation did not match what
-actually happened.
+Exit codes: 0 success; 1 malformed input, no numpy for sim, or stdout
+closed early by its reader (a broken pipe); 2 a well-formed theory or run
+was rejected; 3 a soundness check failed (single-model-kind audit or
+duality bound); 4 an expect-reject annotation did not match what actually
+happened.
+
+Every NaflError reaches ``main``, which prints ``error: <message>`` on
+stderr and exits with the error class's ``exit_code``: 1 for input the
+program cannot read (parse, vocabulary, validation, config), 2 for a
+rejection (illegal axiom, inconsistency, a failed scenario event, too few
+samples per bin). Only the REPL, which prints ``rejected: <message>`` and
+goes on, and sim's skipped reconstruction catch one first.
 """
 
 from __future__ import annotations
@@ -32,13 +38,8 @@ from .errors import (
     IllegalPropositionError,
     InconsistentTheoryError,
     NaflError,
-    ParseError,
-    ScenarioExecutionError,
-    ScenarioValidationError,
     TooFewSamplesError,
-    UnknownAtomError,
     UnreadableFileError,
-    VocabularyError,
     read_text,
 )
 from .scenarios import builtin_names, load_scenario, run_scenario
@@ -49,9 +50,15 @@ from .timeline import Timeline, format_stamp
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
-EXIT_REJECTED = 2
 EXIT_CHECK_FAILED = 3
 EXIT_EXPECTATION_MISMATCH = 4
+
+# What an error's message is prefixed with, on stderr and in the REPL.
+_PREFIX = {IllegalAxiomError: "illegal axiom: ", InconsistentTheoryError: "inconsistent: "}
+
+
+def _explain(exc: Exception) -> str:
+    return _PREFIX.get(type(exc), "") + str(exc)
 
 
 def _fail(message: str, code: int) -> int:
@@ -65,15 +72,7 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        theory, queries = load_theory(args.file)
-    except (ParseError, UnknownAtomError, VocabularyError) as exc:
-        return _fail(str(exc), EXIT_BAD_INPUT)
-    except IllegalAxiomError as exc:
-        return _fail(f"illegal axiom: {exc}", EXIT_REJECTED)
-    except InconsistentTheoryError as exc:
-        return _fail(f"inconsistent: {exc}", EXIT_REJECTED)
-
+    theory, queries = load_theory(args.file)
     print(f"theory {theory.name}: consistent")
     print(f"vocabulary: {' '.join(sorted(theory.vocabulary))}")
     if theory.axioms:
@@ -84,11 +83,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"  {atom}: {theory.atom_status(atom).value}")
     for query in queries:
         rendered = format_formula(query)
-        try:
-            legal = theory.is_legal(query)
-        except UnknownAtomError as exc:
-            return _fail(str(exc), EXIT_BAD_INPUT)
-        if legal:
+        if theory.is_legal(query):
             print(f"query {rendered}: legal, {theory.classify(query).value}")
         else:
             print(f"query {rendered}: illegal in the theory syntax")
@@ -102,12 +97,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """``run`` prints the whole report, ``duality`` its complementarity table."""
-    try:
-        report = run_scenario(load_scenario(args.scenario))
-    except (ParseError, ScenarioValidationError) as exc:
-        return _fail(str(exc), EXIT_BAD_INPUT)
-    except ScenarioExecutionError as exc:
-        return _fail(str(exc), EXIT_REJECTED)
+    report = run_scenario(load_scenario(args.scenario))
     if args.command == "duality":
         print(report.duality_table_text())
         return EXIT_OK if report.duality.passed else EXIT_CHECK_FAILED
@@ -152,21 +142,25 @@ _CONFIG_FIELDS = {
 
 
 def _read_config_file(path: str) -> dict:
+    """The settings of a ``--config`` file; each error names the file."""
     values: dict = {}
-    for number, raw in enumerate(read_text(path).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {number}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"line {number}: unknown setting {key!r}")
-        try:
-            values[key] = _CONFIG_FIELDS[key](value.strip())
-        except ValueError as exc:
-            raise ConfigError(f"line {number}: {exc}") from None
+    try:
+        for number, raw in enumerate(read_text(path).splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"line {number}: expected key=value, got {raw!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in _CONFIG_FIELDS:
+                raise ConfigError(f"line {number}: unknown setting {key!r}")
+            try:
+                values[key] = _CONFIG_FIELDS[key](value.strip())
+            except ValueError as exc:
+                raise ConfigError(f"line {number}: {exc}") from None
+    except (ConfigError, UnreadableFileError) as exc:
+        raise type(exc)(f"config file: {exc}") from None
     return values
 
 
@@ -179,10 +173,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
     if args.preset:
         settings.update(period=1.0, wire_width=0.066)
     if args.config:
-        try:
-            settings.update(_read_config_file(args.config))
-        except (ConfigError, UnreadableFileError) as exc:
-            return _fail(f"config file: {exc}", EXIT_BAD_INPUT)
+        settings.update(_read_config_file(args.config))
     for name in (
         "photons", "seed", "period", "half_extent", "wire_width",
         "envelope", "envelope_width", "mode",
@@ -196,11 +187,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
     settings.setdefault("seed", 0)
     if args.workers < 1:
         return _fail("--workers must be at least 1", EXIT_BAD_INPUT)
-    try:
-        cfg = photonsim.SimConfig(**settings)
-        photonsim._wire_windows(cfg, args.bins)
-    except NaflError as exc:
-        return _fail(str(exc), EXIT_BAD_INPUT)
+    cfg = photonsim.SimConfig(**settings)
+    photonsim._wire_windows(cfg, args.bins)
 
     result = photonsim.simulate(cfg, workers=args.workers)
     oracle = photonsim.analytic_blocked_fraction(cfg.mode, cfg)
@@ -221,7 +209,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         recon = photonsim.reconstruct(result, args.bins)
     except TooFewSamplesError as exc:
         print(f"reconstruction skipped: {exc}")
-        code = EXIT_REJECTED
+        code = exc.exit_code
     else:
         print(
             f"chi-square vs coherent pattern: chi2={recon.chi2:.3f} "
@@ -248,33 +236,30 @@ def cmd_sim(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-class _ReplState:
-    """Mutable wrapper; the timeline itself is rebuilt on every mutation."""
-
-    def __init__(self) -> None:
-        self.vocabulary: set[str] = set()
-        self.declarations: list[tuple[float, tuple]] = []  # (time, axioms)
-        self.clock = 0.0
-
-    def timeline(self) -> Timeline:
-        grouped: list[tuple[float, list]] = []
-        for when, axioms in self.declarations:
-            if grouped and grouped[-1][0] == when:
-                grouped[-1][1].extend(axioms)
-            else:
-                grouped.append((when, list(axioms)))
-        base_axioms: tuple = ()
-        if grouped and grouped[0][0] == 0.0:
-            base_axioms = tuple(grouped.pop(0)[1])
-        base = Theory("T0", frozenset(self.vocabulary), base_axioms)
-        tl = Timeline.begin(base, 0.0)
-        for when, axioms in grouped:
-            tl = tl.declare(when, tuple(axioms))
-        return tl
+def _timeline(vocabulary: frozenset[str], declarations: list[tuple[float, tuple]]) -> Timeline:
+    """The session's timeline, rebuilt from its vocabulary and its (time,
+    axioms) declarations; building it validates both."""
+    grouped: list[tuple[float, list]] = []
+    for when, axioms in declarations:
+        if grouped and grouped[-1][0] == when:
+            grouped[-1][1].extend(axioms)
+        else:
+            grouped.append((when, list(axioms)))
+    base_axioms: tuple = ()
+    if grouped and grouped[0][0] == 0.0:
+        base_axioms = tuple(grouped.pop(0)[1])
+    tl = Timeline.begin(Theory("T0", vocabulary, base_axioms), 0.0)
+    for when, axioms in grouped:
+        tl = tl.declare(when, tuple(axioms))
+    return tl
 
 
 def cmd_repl(args: argparse.Namespace) -> int:
-    state = _ReplState()
+    # A command that changes the session builds the trial timeline first and
+    # keeps the change only if that succeeds.
+    vocabulary: frozenset[str] = frozenset()
+    declarations: list[tuple[float, tuple]] = []
+    clock = 0.0
     interactive = sys.stdin.isatty()
     if interactive:
         print("interactive timeline; commands: atom, advance, declare, truth, model, duality, quit")
@@ -298,37 +283,33 @@ def cmd_repl(args: argparse.Namespace) -> int:
                 if not names:
                     print("usage: atom NAME [NAME ...]")
                     continue
-                state.vocabulary.update(names)
-                state.timeline()  # revalidate
-                print(f"vocabulary: {' '.join(sorted(state.vocabulary))}")
+                grown = vocabulary.union(names)
+                _timeline(grown, declarations)
+                vocabulary = grown
+                print(f"vocabulary: {' '.join(sorted(vocabulary))}")
             elif command == "advance":
                 when = float(rest)
                 if not math.isfinite(when):
                     raise ValueError(f"time {rest} is not finite")
-                if when < state.clock:
-                    print(f"clock already at {format_stamp(state.clock)}; cannot go back")
+                if when < clock:
+                    print(f"clock already at {format_stamp(clock)}; cannot go back")
                     continue
-                state.clock = when
-                print(f"t = {format_stamp(state.clock)}")
+                clock = when
+                print(f"t = {format_stamp(clock)}")
             elif command == "declare":
                 phi = parse_formula_at(rest, lineno, column)
-                trial = state.declarations + [(state.clock, (phi,))]
-                saved = state.declarations
-                state.declarations = trial
-                try:
-                    state.timeline()
-                except NaflError:
-                    state.declarations = saved
-                    raise
-                print(f"declared {format_formula(phi)} at t = {format_stamp(state.clock)}")
+                grown = declarations + [(clock, (phi,))]
+                _timeline(vocabulary, grown)
+                declarations = grown
+                print(f"declared {format_formula(phi)} at t = {format_stamp(clock)}")
             elif command == "truth":
                 phi = parse_formula_at(rest, lineno, column)
-                tl = state.timeline()
-                theory = tl.theory_at(state.clock)
+                tl = _timeline(vocabulary, declarations)
+                theory = tl.theory_at(clock)
                 kind = "superposed" if theory.undecided_atoms() else "classical model"
-                print(f"{tl.truth_at(state.clock, phi).value} ({kind})")
+                print(f"{tl.truth_at(clock, phi).value} ({kind})")
             elif command == "model":
-                theory = state.timeline().theory_at(state.clock)
+                theory = _timeline(vocabulary, declarations).theory_at(clock)
                 undecided = sorted(theory.undecided_atoms())
                 if undecided:
                     print(f"nonclassical (superposed atoms: {' '.join(undecided)})")
@@ -337,20 +318,16 @@ def cmd_repl(args: argparse.Namespace) -> int:
                 for atom in sorted(theory.vocabulary):
                     print(f"  {atom}: {theory.atom_status(atom).value}")
             elif command == "duality":
-                theory = state.timeline().theory_at(state.clock)
+                theory = _timeline(vocabulary, declarations).theory_at(clock)
                 for atom in sorted(theory.vocabulary):
                     d, v = _endpoints(theory.atom_status(atom))
                     print(f"  {atom}: D={d:.1f} V={v:.1f} D^2+V^2={d * d + v * v:.1f}")
             else:
                 print(f"unknown command {command!r}")
-        except IllegalAxiomError as exc:
-            print(f"rejected: illegal axiom: {exc}")
-        except InconsistentTheoryError as exc:
-            print(f"rejected: inconsistent: {exc}")
         except IllegalPropositionError:
             print("rejected: illegal in theory syntax")
         except (NaflError, ValueError) as exc:
-            print(f"rejected: {exc}")
+            print(f"rejected: {_explain(exc)}")
     return EXIT_OK
 
 
@@ -415,11 +392,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except NaflError as exc:
+            code = _fail(_explain(exc), exc.exit_code)
         sys.stdout.flush()  # a reader that closed stdout early fails here, not at exit
         return code
-    except UnreadableFileError as exc:  # a theory or scenario file
-        return _fail(str(exc), EXIT_BAD_INPUT)
     except BrokenPipeError:
         # Python flushes stdout again at exit: send what is left to devnull.
         with open(os.devnull, "w") as devnull:

@@ -1,11 +1,15 @@
 """Exception hierarchy shared by every layer of the package, and the one
-reader of input files, which turns an unreadable file into one of them."""
+reader of input files, which turns an unreadable file into one of them.
+A class's ``exit_code`` is what the command line exits with on its error:
+1 for input nafl cannot read, 2 for a well-formed statement it rejects."""
 
 from __future__ import annotations
 
 
 class NaflError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 1
 
 
 class ParseError(NaflError):
@@ -23,7 +27,7 @@ class UnknownTokenError(ParseError):
 
 
 class VocabularyError(NaflError):
-    """More atoms than the exhaustive decision procedures support."""
+    """Not a collection of atom names, or more atoms than the decision procedures support."""
 
 
 class UnknownAtomError(NaflError):
@@ -33,6 +37,8 @@ class UnknownAtomError(NaflError):
 class IllegalAxiomError(NaflError):
     """Formula outside the theory syntax was offered as an axiom."""
 
+    exit_code = 2
+
     def __init__(self, formula_text: str, reason: str):
         super().__init__(f"{formula_text} cannot be added as an axiom: {reason}")
         self.formula_text = formula_text
@@ -41,6 +47,8 @@ class IllegalAxiomError(NaflError):
 
 class InconsistentTheoryError(NaflError):
     """Axiom set has no model."""
+
+    exit_code = 2
 
 
 class BoundExceededError(NaflError):
@@ -86,6 +94,8 @@ class ScenarioValidationError(ScenarioError):
 class ScenarioExecutionError(ScenarioError):
     """A scenario event failed; names the originating event."""
 
+    exit_code = 2
+
     def __init__(self, event_text: str, cause: Exception):
         super().__init__(f"event '{event_text}' failed: {cause}")
         self.event_text = event_text
@@ -99,6 +109,8 @@ class ConfigError(NaflError, ValueError):
 
 class TooFewSamplesError(NaflError):
     """Histogram bins too thin for a chi-square test (expected count < 5)."""
+
+    exit_code = 2
 
 
 class UnreadableFileError(NaflError):

@@ -42,7 +42,7 @@ from .errors import (
     read_text,
 )
 from .record import record
-from .syntax import Atom, Formula, atoms_of, parse_formula_at, split_line
+from .syntax import NAME, Atom, Formula, atoms_of, parse_formula_at, split_line
 from .theories import Theory
 from .timeline import BCPReport, Timeline, format_stamp, format_table
 
@@ -100,7 +100,7 @@ class Scenario:
 # Parsing
 # --------------------------------------------------------------------------
 
-_GLOSS_RE = re.compile(r'^(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s+"(?P<gloss>[^"]*)"\s*$')
+_GLOSS_RE = re.compile(rf'^(?P<name>{NAME})\s+"(?P<gloss>[^"]*)"\s*$')
 _RETRO_RE = re.compile(
     r"^\[\s*(?P<start>[A-Za-z_][A-Za-z0-9_]*)\s*,\s*"
     r"(?P<end>[A-Za-z_][A-Za-z0-9_]*)\s*\)\s+(?P<formula>.+)$"
@@ -431,8 +431,13 @@ def run_scenario(scenario: Scenario) -> TimelineReport:
     # sorted is stable, so events at one time keep their file order
     for event in sorted(scenario.events, key=lambda event: times[event.time_label]):
         at = times[event.time_label]
-        if isinstance(event, DeclareEvent):
-            if event.expect_reject:
+        try:
+            if isinstance(event, RetroEvent):
+                interval = (times[event.start_label], times[event.end_label])
+                tl = tl.retro_assert(at, interval, event.formula)
+            elif not event.expect_reject:
+                tl = tl.declare(at, event.formulas)
+            else:
                 try:
                     tl.declare(at, event.formulas)
                 except (IllegalAxiomError, InconsistentTheoryError) as exc:
@@ -442,24 +447,13 @@ def run_scenario(scenario: Scenario) -> TimelineReport:
                         else "inconsistency"
                     )
                     rejections.append(RejectionRecord(event, at, kind, str(exc)))
-                except NaflError as exc:
-                    raise ScenarioExecutionError(event.describe(), exc) from exc
                 else:
                     mismatches.append(
                         f"{event.describe()}: declaration was expected to be "
                         "rejected but succeeded"
                     )
-            else:
-                try:
-                    tl = tl.declare(at, event.formulas)
-                except NaflError as exc:
-                    raise ScenarioExecutionError(event.describe(), exc) from exc
-        else:
-            interval = (times[event.start_label], times[event.end_label])
-            try:
-                tl = tl.retro_assert(at, interval, event.formula)
-            except NaflError as exc:
-                raise ScenarioExecutionError(event.describe(), exc) from exc
+        except NaflError as exc:
+            raise ScenarioExecutionError(event.describe(), exc) from exc
 
     boundaries = sorted(
         {epoch.start for epoch in tl.epochs}

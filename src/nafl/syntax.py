@@ -3,7 +3,8 @@
 Surface syntax (ASCII): ``~`` negation, ``&`` conjunction, ``|`` disjunction,
 ``->`` implication (right associative), ``<->`` biconditional. Precedence from
 tightest to loosest: ``~``, ``&``, ``|``, ``->``, ``<->``; parentheses
-override. Atom names match ``[A-Za-z_][A-Za-z0-9_]*``.
+override. Atom names match ``NAME``, ``[A-Za-z_][A-Za-z0-9_]*``, which the
+file readers and ``Theory`` check; ``Atom`` itself takes any string.
 
 A formula nests at most ``MAX_DEPTH`` (100) levels deep: every parenthesis
 pair, negation and binary operator around an atom is one level, so
@@ -152,9 +153,13 @@ def atoms_of(formula: Formula) -> frozenset[str]:
 # Scanner
 # --------------------------------------------------------------------------
 
+# The one atom-name rule, shared by both file readers and Theory.
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+is_name = re.compile(NAME).fullmatch
+
 # One match per token: an atom, an arrow, a one-character operator, or any
 # other non-space character, which is a token outside the grammar.
-_SCAN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|<->|->|[~&|()]|\S")
+_SCAN = re.compile(NAME + r"|<->|->|[~&|()]|\S")
 _ATOM_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 # The one-character tokens of the grammar; every other one is unknown.
 _KNOWN_CHARS = _ATOM_START | frozenset("~&|()")

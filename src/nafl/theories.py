@@ -52,7 +52,7 @@ from .errors import (
 )
 from .record import record
 from .syntax import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of
-from .syntax import parse_formula_at, split_line
+from .syntax import is_name, parse_formula_at, split_line
 
 # Materializing more formula trees than this is refused by theorems().
 _ENUMERATION_CAP = 1_000_000
@@ -73,7 +73,7 @@ class PropStatus(enum.Enum):
 class Theory:
     """Immutable named axiom set over a fixed vocabulary.
 
-    Construction validates everything: vocabulary size, axiom atoms,
+    Construction validates everything: atom names, vocabulary size, axiom atoms,
     incremental axiom legality, and consistency. A Theory in hand is
     therefore always consistent, so its table of models is never empty, and
     every status it decides is memoized.
@@ -90,7 +90,12 @@ class Theory:
     _full: int
 
     def __init__(self, name: str, vocabulary: Iterable[str], axioms: Iterable[Formula] = ()):
+        if isinstance(vocabulary, str):
+            raise VocabularyError(f"theory {name!r} wants atom names, not the string {vocabulary!r}")
         vocabulary = frozenset(vocabulary)
+        bad = sorted(atom for atom in vocabulary if not is_name(atom))
+        if bad:
+            raise VocabularyError(f"theory {name!r} declares bad atom name(s) {bad}")
         if len(vocabulary) > classical.VOCAB_LIMIT:
             raise VocabularyError(
                 f"theory {name!r} declares {len(vocabulary)} atoms; "
@@ -311,10 +316,15 @@ def parse_theory(text: str) -> tuple[Theory, list[Formula]]:
                 raise ParseError("'theory' needs a name", lineno, start)
             name = rest
         elif directive == "atoms":
-            names = rest.split()
-            if not names:
+            if not rest:
                 raise ParseError("'atoms' needs at least one name", lineno, start)
-            vocabulary.extend(names)
+            words = split_line(rest, column)
+            while words:
+                atom, where, rest, column = words
+                if not is_name(atom):
+                    raise ParseError(f"bad atom name {atom!r}", lineno, where)
+                vocabulary.append(atom)
+                words = split_line(rest, column)
         elif directive in ("axiom", "query"):
             if not rest:
                 raise ParseError(f"'{directive}' needs a formula", lineno, start)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nafl import cli, photonsim
+from nafl import cli, errors, photonsim
 
 GOOD_THEORY = """\
 theory QM
@@ -218,12 +218,17 @@ print(json.dumps([proc.returncode, proc.stderr]))
 """
 
 
+THEORIES = Path(__file__).parent / "golden" / "theories"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["run", "afshar"],
         ["duality", "afshar"],
-        ["check", str(Path(__file__).parent / "golden" / "theories" / "qm.thy")],
+        ["check", str(THEORIES / "qm.thy")],
+        # an error after partial output
+        pytest.param(["check", str(THEORIES / "stray_query.thy")], id="check-stray_query"),
     ],
     ids=lambda argv: argv[0],
 )
@@ -231,6 +236,53 @@ def test_a_stdout_closed_by_its_reader_exits_1_without_a_traceback(argv, run_pyt
     code, stderr = json.loads(run_python(CLOSED_PIPE.format(argv=argv)))
     assert "Traceback" not in stderr
     assert code == 1
+
+
+ERROR_CLASSES = sorted(
+    (
+        cls
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.NaflError)
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+
+def an_instance(cls):
+    if cls is errors.IllegalAxiomError:
+        return cls("A | ~A", "a synthetic reason")
+    if cls is errors.ScenarioExecutionError:
+        return cls("at t0 declare A", errors.NaflError("a synthetic cause"))
+    return cls("a synthetic failure")
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_nafl_error_exits_with_its_class_code_and_one_error_line(cls, monkeypatch, capsys):
+    exc = an_instance(cls)
+
+    def fail(args):
+        print("partial output")
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_check", fail)
+    assert run(["check", "any.thy"]) == cls.exit_code
+    captured = capsys.readouterr()
+    prefix = {
+        errors.IllegalAxiomError: "illegal axiom: ",
+        errors.InconsistentTheoryError: "inconsistent: ",
+    }.get(cls, "")
+    assert captured.err == f"error: {prefix}{exc}\n"
+    assert captured.out == "partial output\n"
+
+
+def test_exactly_the_rejections_exit_2():
+    assert {cls for cls in ERROR_CLASSES if cls.exit_code != 1} == {
+        errors.IllegalAxiomError,
+        errors.InconsistentTheoryError,
+        errors.ScenarioExecutionError,
+        errors.TooFewSamplesError,
+    }
+    assert {cls.exit_code for cls in ERROR_CLASSES} == {1, 2}
 
 
 # -- sim -----------------------------------------------------------------------
@@ -420,6 +472,18 @@ def test_repl_survives_rejections(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "rejected: illegal axiom" in out
     assert "true (classical model)" in out
+
+
+def test_repl_keeps_no_name_of_a_rejected_atom_line(monkeypatch, capsys):
+    feed(monkeypatch, f"atom {' '.join('ABCDEFGHIJKLMNOPQ')}\natom R 1x\natom R\nmodel\n")
+    assert run(["repl"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "rejected: theory 'T0' declares 17 atoms; the supported bound is 16",
+        "rejected: theory 'T0' declares bad atom name(s) ['1x']",
+        "vocabulary: R",
+        "nonclassical (superposed atoms: R)",
+        "  R: undecidable",
+    ]
 
 
 def test_repl_rejects_non_finite_times(monkeypatch, capsys):

@@ -150,6 +150,12 @@ def test_vocabulary_is_enforced():
         Theory("X", frozenset(f"A{i}" for i in range(25)), ())
 
 
+@pytest.mark.parametrize("vocabulary", ["PQ", {"P&Q"}, {"P", "1x"}, {""}, {"P Q"}, {"P\n"}])
+def test_a_vocabulary_of_anything_but_atom_names_is_a_vocabulary_error(vocabulary):
+    with pytest.raises(VocabularyError):
+        Theory("X", vocabulary, ())
+
+
 def test_sixteen_atoms_is_the_vocabulary_bound():
     names = [f"A{i}" for i in range(16)]
     theory = Theory("X", names, [pf("A0"), pf("A0 -> A1")])
@@ -302,9 +308,9 @@ Theory._table = counted
 decided = [parse_formula(name) for name in "ABCDEF"]
 for name in "GHIJKL":
     mixed = parse_formula(f"({name} | ~{name}) | (A & B & C & D & E & F)")
-    Theory("probe", "ABCDEFGHIJKL", decided).is_legal(mixed)
+    Theory("probe", list("ABCDEFGHIJKL"), decided).is_legal(mixed)
     try:
-        Theory("probe", "ABCDEFGHIJKL", decided + [mixed])
+        Theory("probe", list("ABCDEFGHIJKL"), decided + [mixed])
     except IllegalAxiomError:
         pass
 print(calls)
@@ -364,6 +370,15 @@ def test_parse_theory_columns_count_from_the_start_of_the_line(line, column):
     with pytest.raises(ParseError) as info:
         parse_theory(f"theory T\natoms A B a\n{line}\n")
     assert (info.value.line, info.value.column) == (3, column)
+
+
+@pytest.mark.parametrize(
+    "line, column", [("atoms P 1x a-b", 9), ("atoms P1x\t1x", 11), ("\tatoms  A  x.y", 12)]
+)
+def test_parse_theory_rejects_a_bad_atom_name_at_its_column(line, column):
+    with pytest.raises(ParseError, match="bad atom name") as info:
+        parse_theory(f"theory T\n{line}\n")
+    assert (info.value.line, info.value.column) == (2, column)
 
 
 def test_an_unclosed_quote_does_not_hide_a_comment():
