@@ -185,8 +185,6 @@ def cmd_sim(args: argparse.Namespace) -> int:
         settings["grid"] = False
     settings.setdefault("photons", 100_000)
     settings.setdefault("seed", 0)
-    if args.workers < 1:
-        return _fail("--workers must be at least 1", EXIT_BAD_INPUT)
     cfg = photonsim.SimConfig(**settings)
     photonsim._wire_windows(cfg, args.bins)
 

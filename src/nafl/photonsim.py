@@ -20,18 +20,26 @@ for the upper slit (U) and False for the lower (L), sampled as a fair coin
 independent of the arrival coordinate. Photons are processed in fixed-size
 chunks whose random streams depend only on (seed, chunk index), and each
 chunk fills its own slice of the result, so results are bit-identical
-whatever the worker count. Within a chunk, sampling is inverse-transform
-from a precomputed cumulative table: sort the chunk's uniforms, interpolate
-the sorted array in the table, find the wire edges among the sorted
-coordinates, and scatter the coordinates and blocked flags back to the
-uniforms' original order. Interpolation and the edge test are elementwise,
-so sorting changes speed only, never a value. Reconstruction histograms all
-arrivals and subtracts the blocked ones, so it never copies the detected
-photons.
+whatever the worker count.
 
-Configurations are bounded: at most MAX_HALF_EXTENT periods each side, and a
+A flat envelope is sampled exactly, with no table: the window runs from
+maximum to maximum, so its 4 * half_extent half-periods (maximum to next
+minimum) hold equal mass. One integer draw picks the half-period and the
+slit label; within the half-period the offset from the maximum is a closed
+form of two uniforms, and the blocked flag is a comparison of that offset
+with the wire's half-width. A gaussian envelope is sampled by inverse
+transform from a window-wide cumulative table: sort the chunk's uniforms,
+interpolate the sorted array in the table, find the wire edges among the
+sorted coordinates, and scatter the coordinates and blocked flags back to
+the uniforms' original order. Interpolation and the edge test are
+elementwise, so sorting changes speed only, never a value. Reconstruction
+histograms all arrivals and subtracts the blocked ones, so it never copies
+the detected photons.
+
+Configurations are bounded: at most MAX_HALF_EXTENT periods each side, a
 gaussian envelope no narrower than the MAX_PANELS quadrature panels across
-the window allow.
+the window allow, and, with a gaussian envelope, wires at least 64 table
+knot spacings wide.
 
 Density masses are exact where a closed form exists (the flat envelope) and
 composite Gauss-Legendre quadrature otherwise (the gaussian envelope).
@@ -42,7 +50,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -50,19 +58,20 @@ import numpy as np
 from .errors import ConfigError, NaflError, TooFewSamplesError
 from .simchoices import ENVELOPES, MODES
 
-# Cumulative-table resolution. At 2^16 + 1 knots the piecewise-linear
-# sampler's density error near a fringe minimum is ~0.1% relative, far
-# inside the statistical bands the tests budget for.
+# Knots of the window-wide cumulative table that samples a gaussian envelope.
+# Between knots the sampled density is flat, so under a wire of width w it
+# fills in the dark fringe: with knot spacing h the blocked probability is
+# about 1 + 4(h/w)^2 times the true one. SimConfig requires w >= 64 h, which
+# keeps that within 0.1%.
 TABLE_KNOTS = 65537
 
 # Photons per deterministic chunk (independent of worker count).
 CHUNK_SIZE = 32768
 
 # Widest detection window, in periods each side of center; the per-wire loops
-# stay short. At this bound the cumulative table has about 32 knots per
-# period, which does not make the sampler unbiased: with knot spacing h and
-# wire width w, its blocked probability is about 1 + 4(h/w)^2 times the
-# analytic one, 1.85 times at 1000 periods and w = 0.066.
+# stay short. The flat envelope's sampler is exact at any width. A gaussian
+# one's table has 32768 / half_extent knots per period, so its wire-width
+# bound leaves no accepted wire (w < period / 2) beyond 255 periods.
 MAX_HALF_EXTENT = 1000
 
 # Most Gauss-Legendre panels the gaussian norm may span, i.e. the bound on
@@ -131,6 +140,14 @@ class SimConfig:
                     f"envelope_width {self.envelope_width:g} needs {panels:.3g} "
                     f"quadrature panels across the window, more than {MAX_PANELS}; "
                     f"it must be at least {2.0 * self.extent / MAX_PANELS:.3g}"
+                )
+            # w >= 64 h, with h the table's knot spacing; see TABLE_KNOTS.
+            smallest = 64.0 * 2.0 * self.extent / (TABLE_KNOTS - 1)
+            if self.wire_width < smallest:
+                raise ConfigError(
+                    f"a gaussian envelope over {self.half_extent} periods of "
+                    f"{self.period:g} needs wire_width at least {smallest:.6g}; "
+                    f"got {self.wire_width:g}"
                 )
         elif self.envelope_width is not None:
             raise ConfigError("envelope_width only applies to the gaussian envelope")
@@ -299,11 +316,56 @@ def _cumulative_table(mode: str, shape: _Shape) -> tuple[np.ndarray, np.ndarray]
     return cdf, xs
 
 
-def _run_chunk(
-    cfg: SimConfig, index: int, cdf: np.ndarray, xs: np.ndarray,
-    edges: np.ndarray | None, upper: np.ndarray, x: np.ndarray, blocked: np.ndarray,
+def _flat_chunk(
+    cfg: SimConfig, rng: np.random.Generator,
+    upper: np.ndarray, x: np.ndarray, blocked: np.ndarray,
 ) -> None:
-    """Fill one chunk's slices of the output arrays from its own stream.
+    """Fill one chunk of a flat-envelope run by composition over half-periods.
+
+    A half-period runs from a fringe maximum to the next minimum, so all
+    4 * half_extent of them hold equal mass. The low bit of ``pick`` is the
+    slit label and ``h = pick >> 1`` the half-period. Within it the offset
+    ``t`` in [0, 1/2] from the maximum is uniform for an envelope-shaped run;
+    for the coherent pattern it is arcsin(s) / pi, where
+    s = sqrt(d0) * sin(pi d1 / 2), the absolute abscissa of a point uniform
+    in the unit disk, follows the semicircle law, so t has density
+    4 cos^2(pi t). Then x = period * (((h + 1) >> 1) - half_extent
+    + (-1)**h * t), and a photon is blocked when it lies more than
+    (period - w) / 2 from its maximum, that is when t > 1/2 - w / (2 period).
+    """
+    # int32 draws the same values as the default int64, in half the memory.
+    pick = rng.integers(0, 8 * cfg.half_extent, x.size, dtype=np.int32)
+    draws = rng.random((x.size, 2))
+    if cfg.mode == "quantum":
+        t = np.sqrt(draws[:, 0])
+        sine = draws[:, 1]
+        sine *= np.pi / 2.0
+        np.sin(sine, out=sine)
+        t *= sine
+        np.arcsin(t, out=t)
+        t /= np.pi
+    else:
+        t = draws[:, 0] / 2.0
+    if cfg.grid:
+        np.greater(t, 0.5 - cfg.wire_width / (2.0 * cfg.period), out=blocked)
+    if cfg.mode == "single-slit":
+        upper[:] = True
+    else:
+        upper[:] = pick & 1
+    # (-1)**h is 1 - (bit 1 of pick), and (h + 1) >> 1 is (pick + 2) >> 2.
+    t *= 1 - (pick & 2)
+    pick += 2
+    pick >>= 2
+    pick -= cfg.half_extent
+    np.add(pick, t, out=x)
+    x *= cfg.period
+
+
+def _table_chunk(
+    cfg: SimConfig, cdf: np.ndarray, xs: np.ndarray, edges: np.ndarray | None,
+    rng: np.random.Generator, upper: np.ndarray, x: np.ndarray, blocked: np.ndarray,
+) -> None:
+    """Fill one chunk of a gaussian-envelope run from the cumulative table.
 
     The arrival uniforms are sorted first, so np.interp walks its table in
     order instead of missing the cache on every photon, and the wire edges
@@ -312,8 +374,7 @@ def _run_chunk(
     through the permutation gives exactly the arrays the unsorted uniforms
     would.
     """
-    seed_seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
-    draws = np.random.default_rng(seed_seq).random((x.size, 2))
+    draws = rng.random((x.size, 2))
     uniforms = draws[:, 1]
     order = np.argsort(uniforms)
     x_sorted = np.interp(uniforms[order], cdf, xs)
@@ -374,17 +435,19 @@ def simulate(cfg: SimConfig, workers: int = 1) -> SimResult:
     """
     if workers < 1:
         raise ConfigError("workers must be at least 1")
-    cdf, xs = _cumulative_table(cfg.mode, _shape(cfg))
-    edges: np.ndarray | None = None
-    if cfg.grid:
-        edges = np.asarray([e for interval in make_grid(cfg) for e in interval])
+    if cfg.envelope == "flat":
+        fill = partial(_flat_chunk, cfg)
+    else:
+        edges = np.ravel(make_grid(cfg)) if cfg.grid else None
+        fill = partial(_table_chunk, cfg, *_cumulative_table(cfg.mode, _shape(cfg)), edges)
     upper = np.empty(cfg.photons, dtype=bool)
     x = np.empty(cfg.photons)
     blocked = np.zeros(cfg.photons, dtype=bool)
 
     def job(index: int) -> None:
         chunk = slice(index * CHUNK_SIZE, (index + 1) * CHUNK_SIZE)
-        _run_chunk(cfg, index, cdf, xs, edges, upper[chunk], x[chunk], blocked[chunk])
+        seed_seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
+        fill(np.random.default_rng(seed_seq), upper[chunk], x[chunk], blocked[chunk])
 
     chunks = range(math.ceil(cfg.photons / CHUNK_SIZE))
     if workers == 1:
@@ -525,19 +588,37 @@ def _detected_histogram(res: SimResult, bins: int) -> tuple[np.ndarray, np.ndarr
     return counts, edges
 
 
+def _detected_masses(cfg: SimConfig, edges: np.ndarray) -> np.ndarray:
+    """Unnormalized coherent-pattern mass of each bin outside the wires.
+
+    The bin and wire edges are merged, and each merged interval's mass counts
+    toward its bin unless the interval lies inside a wire. Without a grid
+    nothing is inside a wire, so each bin keeps its whole mass.
+    """
+    wires = np.ravel(make_grid(cfg)) if cfg.grid else np.empty(0)
+    merged = np.union1d(edges, wires)
+    middles = 0.5 * (merged[:-1] + merged[1:])
+    free = np.searchsorted(wires, middles) % 2 == 0
+    bins = np.searchsorted(edges, middles) - 1
+    return np.bincount(
+        bins[free], weights=_masses("quantum", merged, _shape(cfg))[free],
+        minlength=edges.size - 1,
+    )
+
+
 def reconstruct(res: SimResult, bins: int) -> ReconstructionReport:
     """Chi-square the detected arrivals against the coherent pattern.
 
-    Expected bin masses are integrals of quantum_pdf over the bins, so a
-    classical or single-slit run fails loudly. Also checks that each
-    empirical fringe minimum falls within half a bin of its wire center.
+    Expected bin counts are the detected count times the coherent pattern's
+    mass over each bin outside the wires, as a share of its mass outside
+    them, so a classical or single-slit run fails loudly. Also checks that
+    each empirical fringe minimum falls within half a bin of its wire center.
     """
     cfg = res.config
     bin_centers, windows = _wire_windows(cfg, bins)
     counts, edges = _detected_histogram(res, bins)
-    shape = _shape(cfg)
-    masses = _masses("quantum", edges, shape) / _norm("quantum", shape)
-    expected = masses * (res.photons - res.blocked_count)
+    masses = _detected_masses(cfg, edges)
+    expected = masses * ((res.photons - res.blocked_count) / masses.sum())
     if np.any(expected < 5.0):
         raise TooFewSamplesError(
             f"smallest expected bin count is {expected.min():.3g}; "

@@ -120,6 +120,19 @@ def test_a_bad_worker_count_or_oracle_mode_is_a_config_error():
         analytic_blocked_fraction("warp", small())
 
 
+def test_a_gaussian_envelope_needs_wires_wide_against_its_table():
+    # 64 knot spacings of the window-wide table: 2 * 1000 * 64 / 65536
+    with pytest.raises(ConfigError, match="wire_width at least 1.95312; got 0.066"):
+        small(envelope="gaussian", envelope_width=300.0, half_extent=MAX_HALF_EXTENT,
+              wire_width=0.066)
+    smallest = 64 * 20.0 / (photonsim.TABLE_KNOTS - 1)
+    with pytest.raises(ConfigError, match="at least 0.0195312"):
+        small(envelope="gaussian", envelope_width=3.0, wire_width=0.999 * smallest)
+    assert small(envelope="gaussian", envelope_width=3.0, wire_width=smallest).extent == 10.0
+    # the flat envelope samples exactly, so it takes any width
+    assert small(half_extent=MAX_HALF_EXTENT, wire_width=1e-6).extent == MAX_HALF_EXTENT
+
+
 def test_config_accepts_the_bounds_themselves():
     assert small(envelope="gaussian", envelope_width=20.0 / MAX_PANELS).extent == 10.0
     assert small(half_extent=MAX_HALF_EXTENT).extent == MAX_HALF_EXTENT
@@ -345,17 +358,18 @@ def test_single_slit_labels_every_photon_upper():
 
 
 def test_blocked_photons_lie_inside_wires_and_only_those():
-    cfg = small(photons=100_000, seed=2, mode="classical")
-    res = simulate(cfg)
-    wires = make_grid(cfg)
-
-    def in_a_wire(value):
-        return any(lo <= value <= hi for lo, hi in wires)
-
-    blocked_x = res.x[res.blocked]
-    passed_x = res.x[~res.blocked]
-    assert all(in_a_wire(v) for v in blocked_x[:500])
-    assert not any(in_a_wire(v) for v in passed_x[:500])
+    configs = [small(photons=100_000, seed=2, mode=mode) for mode in MODES]
+    configs.append(small(photons=100_000, seed=2, envelope="gaussian", envelope_width=3.0))
+    for cfg in configs:
+        res = simulate(cfg)
+        edges = np.ravel(make_grid(cfg))
+        # inside a closed interval [lo, hi]: an odd number of edges lies
+        # below the photon, or an odd number lies at or below it
+        in_a_wire = (np.searchsorted(edges, res.x, side="left") % 2 == 1) | (
+            np.searchsorted(edges, res.x, side="right") % 2 == 1
+        )
+        assert res.blocked_count > 0
+        assert np.array_equal(res.blocked, in_a_wire), cfg
 
 
 def test_no_grid_blocks_nothing():
@@ -381,7 +395,8 @@ def test_worker_count_never_changes_the_result():
 
 def test_seed_sweep_reuses_the_sampling_table_and_norms():
     # a geometry no other test uses, so the first run is a miss
-    cfg = small(photons=500, period=0.75, wire_width=0.07)
+    cfg = small(photons=500, period=0.75, wire_width=0.07,
+                envelope="gaussian", envelope_width=2.5)
     simulate(cfg)
     tables = photonsim._cumulative_table.cache_info().hits
     norms = photonsim._norm.cache_info().hits
@@ -394,22 +409,48 @@ def test_seed_sweep_reuses_the_sampling_table_and_norms():
     assert photonsim._norm.cache_info().hits >= norms + 5
 
 
+def _plain_flat_chunk(cfg, rng, count):
+    """(labels, x, blocked): the half-period transform, written out plainly."""
+    pick = rng.integers(0, 8 * cfg.half_extent, count)
+    d0, d1 = rng.random((count, 2)).T
+    h = pick >> 1
+    if cfg.mode == "quantum":
+        t = np.arcsin(np.sqrt(d0) * np.sin(np.pi * d1 / 2)) / np.pi
+    else:
+        t = d0 / 2
+    x = cfg.period * (((h + 1) >> 1) - cfg.half_extent + (-1) ** h * t)
+    blocked = t > 1 / 2 - cfg.wire_width / (2 * cfg.period)
+    return pick & 1 == 1, x, blocked
+
+
+def _plain_table_chunk(cfg, rng, count):
+    """(labels, x, blocked): inverse transform in the table, unsorted."""
+    cdf, xs = photonsim._cumulative_table(cfg.mode, photonsim._shape(cfg))
+    draws = rng.random((count, 2))
+    x = np.interp(draws[:, 1], cdf, xs)
+    blocked = np.searchsorted(np.ravel(make_grid(cfg)), x, side="right") % 2 == 1
+    return draws[:, 0] < 0.5, x, blocked
+
+
 @pytest.mark.parametrize("envelope", ["flat", "gaussian"])
 @pytest.mark.parametrize("mode", MODES)
 def test_sampler_matches_the_plain_inverse_transform(mode, envelope):
-    width = 3.0 if envelope == "gaussian" else None
+    if envelope == "gaussian":
+        geometry, plain = dict(envelope_width=3.0), _plain_table_chunk
+    else:
+        # a period other than 1 and an odd half extent, so that neither
+        # the scaling nor the half-period indexing hides behind a default
+        geometry = dict(period=0.75, half_extent=7, wire_width=0.06)
+        plain = _plain_flat_chunk
     cfg = small(photons=2 * CHUNK_SIZE + 1234, seed=17, mode=mode,
-                envelope=envelope, envelope_width=width)
-    cdf, xs = photonsim._cumulative_table(mode, photonsim._shape(cfg))
-    edges = np.ravel(make_grid(cfg))
+                envelope=envelope, **geometry)
     upper, x, blocked = [], [], []
     for index, start in enumerate(range(0, cfg.photons, CHUNK_SIZE)):
         count = min(CHUNK_SIZE, cfg.photons - start)
         stream = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
-        draws = np.random.default_rng(stream).random((count, 2))
-        x.append(np.interp(draws[:, 1], cdf, xs))
-        blocked.append(np.searchsorted(edges, x[-1], side="right") % 2 == 1)
-        labels = draws[:, 0] < 0.5
+        labels, arrivals, absorbed = plain(cfg, np.random.default_rng(stream), count)
+        x.append(arrivals)
+        blocked.append(absorbed)
         upper.append(np.full(count, True) if mode == "single-slit" else labels)
     for workers in (1, 2):
         res = simulate(cfg, workers=workers)
@@ -419,7 +460,7 @@ def test_sampler_matches_the_plain_inverse_transform(mode, envelope):
 
 
 def test_chunk_streams_depend_only_on_seed_and_index():
-    # a longer run extends a shorter one photon for photon
+    # a longer run extends a shorter one of whole chunks photon for photon
     short = simulate(small(photons=CHUNK_SIZE, seed=3))
     long = simulate(small(photons=CHUNK_SIZE + 999, seed=3))
     assert np.array_equal(long.x[:CHUNK_SIZE], short.x)
@@ -439,6 +480,28 @@ def test_monte_carlo_agrees_with_quadrature():
     classical_oracle = analytic_blocked_fraction("classical", classical_cfg)
     sigma = math.sqrt(classical_oracle * (1 - classical_oracle) / photons)
     assert abs(classical_res.blocked_fraction - classical_oracle) < 3 * sigma
+
+
+@pytest.mark.parametrize("half_extent", [10, MAX_HALF_EXTENT])
+def test_blocked_fraction_is_unbiased_across_the_window_sizes(half_extent):
+    # about 940 photons blocked in expectation; a sampler whose density
+    # fills in the dark fringes shows as a surplus of many sigma
+    cfg = small(photons=2_000_000, seed=9, half_extent=half_extent, wire_width=0.066)
+    oracle = analytic_blocked_fraction("quantum", cfg)
+    sigma = math.sqrt(oracle * (1 - oracle) / cfg.photons)
+    assert abs(simulate(cfg).blocked_fraction - oracle) < 4 * sigma
+
+
+def test_a_flat_config_builds_no_table_and_sorts_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flat-envelope run reached the table sampler")
+
+    monkeypatch.setattr(photonsim, "_cumulative_table", refuse)
+    monkeypatch.setattr(np, "argsort", refuse)
+    for mode in MODES:
+        assert simulate(small(photons=CHUNK_SIZE + 5, mode=mode), workers=2).photons == (
+            CHUNK_SIZE + 5
+        )
 
 
 def test_gaussian_envelope_simulates_and_matches_its_oracle():
@@ -463,6 +526,37 @@ def test_reconstruction_accepts_the_quantum_pattern():
     assert report.minima_aligned
     assert len(report.minima) == len(wire_centers(res.config))
     assert report.expected.sum() == pytest.approx(res.detected_x.size, rel=1e-6)
+
+
+@pytest.mark.parametrize("grid", [True, False])
+def test_expected_counts_are_the_detected_share_of_the_pattern(grid):
+    cfg = small(photons=200_000, seed=4, half_extent=3, wire_width=0.2, grid=grid)
+    res = simulate(cfg)
+    report = reconstruct(res, bins=9)
+    detected = res.photons - res.blocked_count
+    # the coherent pattern's mass in each bin outside the wires, by quadrature
+    wires = make_grid(cfg) if grid else ()
+    masses = []
+    for lo, hi in zip(report.bin_edges[:-1], report.bin_edges[1:]):
+        mass = _quad(lambda x: math.cos(math.pi * x) ** 2, lo, hi)
+        for wire_lo, wire_hi in wires:
+            if wire_hi > lo and wire_lo < hi:
+                mass -= _quad(lambda x: math.cos(math.pi * x) ** 2,
+                              max(lo, wire_lo), min(hi, wire_hi))
+        masses.append(mass)
+    masses = np.array(masses)
+    np.testing.assert_allclose(report.expected, detected * masses / masses.sum(), rtol=1e-12)
+    assert report.expected.sum() == pytest.approx(detected, rel=1e-12)
+
+
+def test_reconstruction_p_values_are_uniform_over_seeds():
+    # the preset's wires absorb 4.7e-4 of the pattern; expected counts that
+    # still held that mass skewed these p-values low (KS p 1.5e-4 here)
+    p_values = [
+        reconstruct(simulate(calibration_preset(1_000_000, seed)), 100).p_value
+        for seed in range(20)
+    ]
+    assert stats.kstest(p_values, "uniform").pvalue > 0.01
 
 
 @pytest.mark.parametrize("mode", ["quantum", "classical"])

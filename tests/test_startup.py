@@ -23,8 +23,8 @@ print(code, *[m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules
 """
 
 # sha256 of the histogram CSV that `nafl sim --preset --photons 1000 --out`
-# wrote when numpy was still imported at start-up.
-PRESET_1000_CSV = "1250e0895e09f65e4b0329809f36886574509a0e154f779c2fdd51f2816ef9e6"
+# writes with the closed-form half-period sampler of the flat envelope.
+PRESET_1000_CSV = "467b1d31b4e34b7bf41b6fea78ddd72bb1e0c663a55ab6117360bdcad1663e81"
 
 
 @pytest.mark.parametrize("command", ["import", "run", "check", "duality"])
