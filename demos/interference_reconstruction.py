@@ -32,7 +32,9 @@ print(f"{'mode':<12} {'blocked':>8} {'fraction':>12} {'quadrature':>12}")
 results = {}
 for mode in ("quantum", "classical", "single-slit"):
     cfg = calibration_preset(photons=PHOTONS, seed=SEED, mode=mode)
-    res = simulate(cfg, workers=4)
+    # the quantum run keeps its photons for the profile below; the others
+    # keep only their counts and 100-bin histogram
+    res = simulate(cfg, workers=4, keep_photons=mode == "quantum")
     oracle = analytic_blocked_fraction(mode, cfg)
     results[mode] = res
     print(
@@ -72,7 +74,7 @@ center; the classical run is rejected outright. Determinism check:
 """)
 
 cfg = SimConfig(photons=65_536 * 2, seed=7)
-one = simulate(cfg, workers=1)
-eight = simulate(cfg, workers=8)
+one = simulate(cfg, workers=1, keep_photons=True)
+eight = simulate(cfg, workers=8, keep_photons=True)
 print(f"  1 worker == 8 workers, bit for bit: {one == eight}")
 print("  (chunked streams are derived from (seed, chunk index) alone)")

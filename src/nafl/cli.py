@@ -171,7 +171,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
         return _fail(f"nafl sim needs numpy: {exc}", EXIT_BAD_INPUT)
     settings: dict = {}
     if args.preset:
-        settings.update(period=1.0, wire_width=0.066)
+        preset = photonsim.calibration_preset(1, 0)
+        settings.update(period=preset.period, wire_width=preset.wire_width)
     if args.config:
         settings.update(_read_config_file(args.config))
     for name in (
@@ -188,7 +189,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
     cfg = photonsim.SimConfig(**settings)
     photonsim._wire_windows(cfg, args.bins)
 
-    result = photonsim.simulate(cfg, workers=args.workers)
+    result = photonsim.simulate(cfg, workers=args.workers, bins=args.bins)
     oracle = photonsim.analytic_blocked_fraction(cfg.mode, cfg)
     print(
         f"mode={cfg.mode} photons={cfg.photons} seed={cfg.seed} "
@@ -202,9 +203,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
     print(f"analytic blocked fraction: {oracle:.10e}")
 
     code = EXIT_OK
-    recon = None
     try:
-        recon = photonsim.reconstruct(result, args.bins)
+        recon = photonsim.reconstruct(result)
     except TooFewSamplesError as exc:
         print(f"reconstruction skipped: {exc}")
         code = exc.exit_code
@@ -217,10 +217,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         print(f"fringe minima aligned with wire centers: {aligned}")
 
     if args.out:
-        if recon is None:
-            counts, edges = photonsim._detected_histogram(result, args.bins)
-        else:
-            counts, edges = recon.counts, recon.bin_edges
+        counts, edges = result.counts, result.bin_edges
         lines = ["bin_left,bin_right,count"]
         for i, count in enumerate(counts):
             lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(count)}")

@@ -14,13 +14,22 @@ distribution puts only O((w/period)^3) of its mass under wires of width w,
 while any envelope-shaped distribution puts about w/period there, which is
 what makes the dark-grid observation quantitatively sharp.
 
-Each photon record carries a metalogical slit label, an arrival coordinate
-and a blocked flag: 10 bytes a photon. The label is a bool, ``upper``, True
-for the upper slit (U) and False for the lower (L), sampled as a fair coin
-independent of the arrival coordinate. Photons are processed in fixed-size
-chunks whose random streams depend only on (seed, chunk index), and each
-chunk fills its own slice of the result, so results are bit-identical
-whatever the worker count.
+Each photon carries a metalogical slit label, an arrival coordinate and a
+blocked flag. The label is a bool, ``upper``, True for the upper slit (U)
+and False for the lower (L), sampled as a fair coin independent of the
+arrival coordinate. Photons are processed in fixed-size chunks whose random
+streams depend only on (seed, chunk index).
+
+A run keeps no per-photon record unless asked to. Each chunk is binned as
+soon as it is drawn: its detected arrivals go into a histogram of ``bins``
+equal bins over the window, and its blocked and upper-slit photons into two
+counts, so a result takes O(bins) memory at any photon count. Each worker
+thread owns one chunk workspace, allocated once per run, that holds every
+chunk temporary: a fresh temporary of 128 KB or more would be mapped and
+unmapped by the allocator on every chunk. Integer totals add up the same in
+any order, so results are identical whatever the worker count. With
+``keep_photons=True`` the same loop writes each chunk into its slice of
+three per-photon arrays (10 bytes a photon) instead of the workspace.
 
 A flat envelope is sampled exactly, with no table: the window runs from
 maximum to maximum, so its 4 * half_extent half-periods (maximum to next
@@ -32,9 +41,7 @@ transform from a window-wide cumulative table: sort the chunk's uniforms,
 interpolate the sorted array in the table, find the wire edges among the
 sorted coordinates, and scatter the coordinates and blocked flags back to
 the uniforms' original order. Interpolation and the edge test are
-elementwise, so sorting changes speed only, never a value. Reconstruction
-histograms all arrivals and subtracts the blocked ones, so it never copies
-the detected photons.
+elementwise, so sorting changes speed only, never a value.
 
 Configurations are bounded: at most MAX_HALF_EXTENT periods each side, a
 gaussian envelope no narrower than the MAX_PANELS quadrature panels across
@@ -78,9 +85,9 @@ MAX_HALF_EXTENT = 1000
 # 2 * extent / min(period / 2, envelope_width); its nodes take about 10 MB.
 MAX_PANELS = 1 << 16
 
-# Most histogram bins reconstruct accepts: every wire's window search scans
-# all bin centres, and a gaussian envelope's bin masses take 20 quadrature
-# nodes per bin, about 10 MB per temporary array at this bound.
+# Most histogram bins simulate and reconstruct accept: every wire's window
+# search scans all bin centres, and a gaussian envelope's bin masses take 20
+# quadrature nodes per bin, about 10 MB per temporary array at this bound.
 MAX_BINS = 1 << 16
 
 # Relative tolerance and underflow guard of the chi-square tail expansions.
@@ -316,8 +323,63 @@ def _cumulative_table(mode: str, shape: _Shape) -> tuple[np.ndarray, np.ndarray]
     return cdf, xs
 
 
+class _Workspace:
+    """One worker's chunk buffers and running totals.
+
+    Allocated once per simulate call and reused for every chunk the worker
+    draws; see the module docstring. ``counts`` has one bin past the
+    window's, which collects the blocked photons.
+    """
+
+    def __init__(self, edges: np.ndarray) -> None:
+        self.left = edges[:-1]
+        # The last bin includes the window's right end; the others do not.
+        self.right = np.append(edges[1:-1], np.inf)
+        self.lo = edges[0]
+        self.span = edges[-1] - edges[0]
+        self.draws = np.empty((CHUNK_SIZE, 2))
+        self.t = np.empty(CHUNK_SIZE)
+        self.sign = np.empty(CHUNK_SIZE, dtype=np.int32)
+        self.upper = np.empty(CHUNK_SIZE, dtype=bool)
+        self.x = np.empty(CHUNK_SIZE)
+        self.blocked = np.empty(CHUNK_SIZE, dtype=bool)
+        self.index = np.empty(CHUNK_SIZE, dtype=np.intp)
+        self.edge = np.empty(CHUNK_SIZE)
+        self.past = np.empty(CHUNK_SIZE, dtype=bool)
+        self.counts = np.zeros(edges.size, dtype=np.intp)
+        self.upper_count = 0
+
+    def add(self, upper: np.ndarray, x: np.ndarray, blocked: np.ndarray) -> None:
+        """Bin one chunk's arrivals and count its upper-slit labels.
+
+        The bin index is np.histogram's rule for equal bins (numpy's
+        ``lib/_histograms_impl.py``): scale the offset into the window,
+        truncate, clamp the right end into the last bin, then step once down
+        or up where the scaled index missed a ``linspace`` edge by an ulp.
+        Every arrival lies in the window, so none is dropped.
+        """
+        bins = self.left.size
+        index, edge, past = self.index[:x.size], self.edge[:x.size], self.past[:x.size]
+        np.subtract(x, self.lo, out=edge)
+        edge /= self.span
+        edge *= bins
+        np.copyto(index, edge, casting="unsafe")
+        np.minimum(index, bins - 1, out=index)
+        # mode="clip" lets take write into out without a buffer; every index
+        # is already in range.
+        np.take(self.left, index, out=edge, mode="clip")
+        np.less(x, edge, out=past)
+        index -= past
+        np.take(self.right, index, out=edge, mode="clip")
+        np.greater_equal(x, edge, out=past)
+        index += past
+        np.putmask(index, blocked, bins)
+        self.counts += np.bincount(index, minlength=bins + 1)
+        self.upper_count += int(np.count_nonzero(upper))
+
+
 def _flat_chunk(
-    cfg: SimConfig, rng: np.random.Generator,
+    cfg: SimConfig, rng: np.random.Generator, space: _Workspace,
     upper: np.ndarray, x: np.ndarray, blocked: np.ndarray,
 ) -> None:
     """Fill one chunk of a flat-envelope run by composition over half-periods.
@@ -332,12 +394,14 @@ def _flat_chunk(
     4 cos^2(pi t). Then x = period * (((h + 1) >> 1) - half_extent
     + (-1)**h * t), and a photon is blocked when it lies more than
     (period - w) / 2 from its maximum, that is when t > 1/2 - w / (2 period).
+    Every temporary but ``pick`` lives in ``space``.
     """
     # int32 draws the same values as the default int64, in half the memory.
     pick = rng.integers(0, 8 * cfg.half_extent, x.size, dtype=np.int32)
-    draws = rng.random((x.size, 2))
+    draws, t, sign = space.draws[:x.size], space.t[:x.size], space.sign[:x.size]
+    rng.random(out=draws)
     if cfg.mode == "quantum":
-        t = np.sqrt(draws[:, 0])
+        np.sqrt(draws[:, 0], out=t)
         sine = draws[:, 1]
         sine *= np.pi / 2.0
         np.sin(sine, out=sine)
@@ -345,15 +409,20 @@ def _flat_chunk(
         np.arcsin(t, out=t)
         t /= np.pi
     else:
-        t = draws[:, 0] / 2.0
+        np.divide(draws[:, 0], 2.0, out=t)
     if cfg.grid:
         np.greater(t, 0.5 - cfg.wire_width / (2.0 * cfg.period), out=blocked)
+    else:
+        blocked[:] = False
     if cfg.mode == "single-slit":
         upper[:] = True
     else:
-        upper[:] = pick & 1
+        np.bitwise_and(pick, 1, out=sign)
+        upper[:] = sign
     # (-1)**h is 1 - (bit 1 of pick), and (h + 1) >> 1 is (pick + 2) >> 2.
-    t *= 1 - (pick & 2)
+    np.bitwise_and(pick, 2, out=sign)
+    np.subtract(1, sign, out=sign)
+    t *= sign
     pick += 2
     pick >>= 2
     pick -= cfg.half_extent
@@ -363,7 +432,8 @@ def _flat_chunk(
 
 def _table_chunk(
     cfg: SimConfig, cdf: np.ndarray, xs: np.ndarray, edges: np.ndarray | None,
-    rng: np.random.Generator, upper: np.ndarray, x: np.ndarray, blocked: np.ndarray,
+    rng: np.random.Generator, space: _Workspace,
+    upper: np.ndarray, x: np.ndarray, blocked: np.ndarray,
 ) -> None:
     """Fill one chunk of a gaussian-envelope run from the cumulative table.
 
@@ -374,7 +444,8 @@ def _table_chunk(
     through the permutation gives exactly the arrays the unsorted uniforms
     would.
     """
-    draws = rng.random((x.size, 2))
+    draws = space.draws[:x.size]
+    rng.random(out=draws)
     uniforms = draws[:, 1]
     order = np.argsort(uniforms)
     x_sorted = np.interp(uniforms[order], cdf, xs)
@@ -383,7 +454,9 @@ def _table_chunk(
         upper[:] = True
     else:
         np.less(draws[:, 0], 0.5, out=upper)
-    if edges is not None:
+    if edges is None:
+        blocked[:] = False
+    else:
         # A photon is blocked when an odd number of edges lie at or below it.
         # On sorted coordinates that splits the chunk into runs between the
         # edges' insertion points, alternately free and blocked.
@@ -393,18 +466,32 @@ def _table_chunk(
 
 @dataclass(frozen=True, eq=False)
 class SimResult:
+    """A run's detected histogram and counts.
+
+    The per-photon arrays are kept only by ``simulate(..., keep_photons=True)``
+    and are None otherwise.
+    """
+
     config: SimConfig
-    upper: np.ndarray          # bool slit label, True for U (upper), False for L
-    x: np.ndarray              # arrival coordinates
-    blocked: np.ndarray        # bool, photon absorbed by a wire
+    counts: np.ndarray         # detected arrivals in equal bins over the window
+    blocked_count: int         # photons absorbed by a wire
+    upper_count: int           # photons labeled U, blocked ones included
+    upper: np.ndarray | None = None    # bool slit label, True for U (upper), False for L
+    x: np.ndarray | None = None        # arrival coordinates
+    blocked: np.ndarray | None = None  # bool, photon absorbed by a wire
 
     @property
     def photons(self) -> int:
-        return int(self.x.size)
+        return self.config.photons
 
     @property
-    def blocked_count(self) -> int:
-        return int(np.count_nonzero(self.blocked))
+    def bins(self) -> int:
+        return int(self.counts.size)
+
+    @property
+    def bin_edges(self) -> np.ndarray:
+        """The ``bins + 1`` edges of ``counts``, as np.histogram makes them."""
+        return np.linspace(-self.config.extent, self.config.extent, self.bins + 1)
 
     @property
     def blocked_fraction(self) -> float:
@@ -412,6 +499,8 @@ class SimResult:
 
     @property
     def detected_x(self) -> np.ndarray:
+        if self.x is None:
+            raise NaflError("this result kept no photons; simulate with keep_photons=True")
         return self.x[~self.blocked]
 
     def __eq__(self, other: object) -> bool:
@@ -419,48 +508,84 @@ class SimResult:
             return NotImplemented
         return (
             self.config == other.config
+            and self.blocked_count == other.blocked_count
+            and self.upper_count == other.upper_count
+            and np.array_equal(self.counts, other.counts)
+            # np.array_equal(None, None) is True: two streamed results
             and np.array_equal(self.upper, other.upper)
             and np.array_equal(self.x, other.x)
             and np.array_equal(self.blocked, other.blocked)
         )
 
 
-def simulate(cfg: SimConfig, workers: int = 1) -> SimResult:
+def _check_bins(bins: int) -> None:
+    """ConfigError unless the histogram has 2 to MAX_BINS bins."""
+    if bins < 2:
+        raise ConfigError(f"the histogram needs at least 2 bins; got {bins}")
+    if bins > MAX_BINS:
+        raise ConfigError(f"the histogram takes at most {MAX_BINS} bins; got {bins}")
+
+
+def simulate(
+    cfg: SimConfig, workers: int = 1, bins: int = 100, keep_photons: bool = False,
+) -> SimResult:
     """Run the full photon count; deterministic in cfg alone.
 
-    ``workers`` sets thread-pool width only. Photons are partitioned into
-    fixed 32768-photon chunks whose streams are derived from (seed, chunk
-    index), and each chunk writes its own slice of the result, so any worker
-    count yields the identical result.
+    Photons are partitioned into fixed 32768-photon chunks whose streams are
+    derived from (seed, chunk index), and each chunk is binned into ``bins``
+    equal bins over the window as soon as it is drawn. ``workers`` sets the
+    number of threads only: each takes every ``workers``-th chunk into its
+    own workspace and totals, and the totals are summed, so any worker
+    count yields the identical result. With ``keep_photons`` each chunk is
+    drawn into its slice of the result's per-photon arrays instead.
     """
     if workers < 1:
         raise ConfigError("workers must be at least 1")
+    _check_bins(bins)
     if cfg.envelope == "flat":
         fill = partial(_flat_chunk, cfg)
     else:
-        edges = np.ravel(make_grid(cfg)) if cfg.grid else None
-        fill = partial(_table_chunk, cfg, *_cumulative_table(cfg.mode, _shape(cfg)), edges)
-    upper = np.empty(cfg.photons, dtype=bool)
-    x = np.empty(cfg.photons)
-    blocked = np.zeros(cfg.photons, dtype=bool)
+        wires = np.ravel(make_grid(cfg)) if cfg.grid else None
+        fill = partial(_table_chunk, cfg, *_cumulative_table(cfg.mode, _shape(cfg)), wires)
+    edges = np.linspace(-cfg.extent, cfg.extent, bins + 1)
+    kept = None
+    if keep_photons:
+        kept = (
+            np.empty(cfg.photons, dtype=bool),
+            np.empty(cfg.photons),
+            np.empty(cfg.photons, dtype=bool),
+        )
+    chunks = math.ceil(cfg.photons / CHUNK_SIZE)
+    threads = min(workers, chunks)
 
-    def job(index: int) -> None:
-        chunk = slice(index * CHUNK_SIZE, (index + 1) * CHUNK_SIZE)
-        seed_seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
-        fill(np.random.default_rng(seed_seq), upper[chunk], x[chunk], blocked[chunk])
+    def work(first: int) -> _Workspace:
+        space = _Workspace(edges)
+        for index in range(first, chunks, threads):
+            start = index * CHUNK_SIZE
+            size = min(CHUNK_SIZE, cfg.photons - start)
+            if kept is None:
+                out = (space.upper[:size], space.x[:size], space.blocked[:size])
+            else:
+                out = tuple(array[start:start + size] for array in kept)
+            seed_seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
+            fill(np.random.default_rng(seed_seq), space, *out)
+            space.add(*out)
+        return space
 
-    chunks = range(math.ceil(cfg.photons / CHUNK_SIZE))
-    if workers == 1:
-        for index in chunks:
-            job(index)
+    if threads == 1:
+        spaces = [work(0)]
     else:
         # nafl registers this module lazily, and the first attribute read
         # of the lazy module, which executes it, takes no lock. Reaching
         # simulate was such a read, in the calling thread, so the module is
         # fully loaded before any worker starts.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(job, chunks))
-    return SimResult(cfg, upper, x, blocked)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            spaces = list(pool.map(work, range(threads)))
+    totals = np.sum([space.counts for space in spaces], axis=0)
+    counts = totals[:bins]
+    counts.flags.writeable = False
+    upper_count = sum(space.upper_count for space in spaces)
+    return SimResult(cfg, counts, int(totals[bins]), upper_count, *(kept or ()))
 
 
 # --------------------------------------------------------------------------
@@ -555,10 +680,7 @@ def _wire_windows(cfg: SimConfig, bins: int) -> tuple[np.ndarray, list]:
     more than MAX_BINS, or when some wire's window holds no bin centre to
     search for its minimum. The count is checked before anything is allocated.
     """
-    if bins < 2:
-        raise NaflError(f"the histogram needs at least 2 bins; got {bins}")
-    if bins > MAX_BINS:
-        raise NaflError(f"the histogram takes at most {MAX_BINS} bins; got {bins}")
+    _check_bins(bins)
     edges = np.linspace(-cfg.extent, cfg.extent, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     windows = []
@@ -572,20 +694,6 @@ def _wire_windows(cfg: SimConfig, bins: int) -> tuple[np.ndarray, list]:
             )
         windows.append((center, window))
     return centers, windows
-
-
-def _detected_histogram(res: SimResult, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """(counts, edges) of the detected arrivals in equal bins over the window.
-
-    Histograms every arrival and subtracts the histogram of the blocked ones,
-    so the detected coordinates are never copied. Each arrival's bin depends
-    on its coordinate alone, so the counts equal those of a histogram of
-    ``res.detected_x``.
-    """
-    window = (-res.config.extent, res.config.extent)
-    counts, edges = np.histogram(res.x, bins=bins, range=window)
-    counts -= np.histogram(res.x[res.blocked], bins=bins, range=window)[0]
-    return counts, edges
 
 
 def _detected_masses(cfg: SimConfig, edges: np.ndarray) -> np.ndarray:
@@ -606,17 +714,24 @@ def _detected_masses(cfg: SimConfig, edges: np.ndarray) -> np.ndarray:
     )
 
 
-def reconstruct(res: SimResult, bins: int) -> ReconstructionReport:
+def reconstruct(res: SimResult, bins: int | None = None) -> ReconstructionReport:
     """Chi-square the detected arrivals against the coherent pattern.
 
-    Expected bin counts are the detected count times the coherent pattern's
-    mass over each bin outside the wires, as a share of its mass outside
-    them, so a classical or single-slit run fails loudly. Also checks that
-    each empirical fringe minimum falls within half a bin of its wire center.
+    Works on the result's histogram, so ``bins``, if given, must equal
+    ``res.bins``: the bin count is chosen when simulating. Expected bin
+    counts are the detected count times the coherent pattern's mass over
+    each bin outside the wires, as a share of its mass outside them, so a
+    classical or single-slit run fails loudly. Also checks that each
+    empirical fringe minimum falls within half a bin of its wire center.
     """
     cfg = res.config
-    bin_centers, windows = _wire_windows(cfg, bins)
-    counts, edges = _detected_histogram(res, bins)
+    if bins is not None and bins != res.bins:
+        raise NaflError(
+            f"the result holds a {res.bins}-bin histogram, not {bins} bins; "
+            "pass bins to simulate"
+        )
+    bin_centers, windows = _wire_windows(cfg, res.bins)
+    counts, edges = res.counts, res.bin_edges
     masses = _detected_masses(cfg, edges)
     expected = masses * ((res.photons - res.blocked_count) / masses.sum())
     if np.any(expected < 5.0):
@@ -625,7 +740,7 @@ def reconstruct(res: SimResult, bins: int) -> ReconstructionReport:
             "need at least 5 in every bin"
         )
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    dof = bins - 1
+    dof = res.bins - 1
     p_value = _chi2_sf(chi2, dof)
 
     bin_width = edges[1] - edges[0]

@@ -16,7 +16,10 @@ fault):
     at <time-label> retro [<t-start>, <t-end>) <formula>
     at <time-label> expect-reject declare <formula>
 
-Times must be declared in strictly increasing order. At most one plain
+Atom and location names and time labels follow the theory reader's name
+rule, ``[A-Za-z_][A-Za-z0-9_]*`` (``syntax.NAME``); a name outside it is
+reported at its own column. Times must be declared in strictly increasing
+order. At most one plain
 declare event may target a given time label (its formulas open one epoch).
 ``expect-reject`` marks a declaration that the theory syntax is supposed to
 refuse; the run logs the refusal and reports a mismatch if it succeeds.
@@ -42,7 +45,7 @@ from .errors import (
     read_text,
 )
 from .record import record
-from .syntax import NAME, Atom, Formula, atoms_of, parse_formula_at, split_line
+from .syntax import NAME, Atom, Formula, atoms_of, is_name, parse_formula_at, split_line
 from .theories import Theory
 from .timeline import BCPReport, Timeline, format_stamp, format_table
 
@@ -100,20 +103,24 @@ class Scenario:
 # Parsing
 # --------------------------------------------------------------------------
 
-_GLOSS_RE = re.compile(rf'^(?P<name>{NAME})\s+"(?P<gloss>[^"]*)"\s*$')
+_GLOSS_RE = re.compile(r'^(?P<name>\S+)\s+"(?P<gloss>[^"]*)"\s*$')
 _RETRO_RE = re.compile(
-    r"^\[\s*(?P<start>[A-Za-z_][A-Za-z0-9_]*)\s*,\s*"
-    r"(?P<end>[A-Za-z_][A-Za-z0-9_]*)\s*\)\s+(?P<formula>.+)$"
+    rf"^\[\s*(?P<start>{NAME})\s*,\s*(?P<end>{NAME})\s*\)\s+(?P<formula>.+)$"
 )
 
 
-def _parse_named_gloss(rest: str, directive: str, lineno: int, start: int) -> tuple[str, str]:
+def _parse_named_gloss(
+    rest: str, directive: str, lineno: int, start: int, column: int
+) -> tuple[str, str]:
     match = _GLOSS_RE.match(rest)
     if match is None:
         raise ScenarioParseError(
             f"'{directive}' wants: {directive} <name> \"<gloss>\"", lineno, start
         )
-    return match.group("name"), match.group("gloss")
+    name = match["name"]
+    if not is_name(name):
+        raise ScenarioParseError(f"bad {directive} name {name!r}", lineno, column)
+    return name, match["gloss"]
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -137,14 +144,16 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioParseError("'scenario' needs a name", lineno, start)
             name = rest
         elif directive == "atom":
-            atoms.append(_parse_named_gloss(rest, "atom", lineno, start))
+            atoms.append(_parse_named_gloss(rest, "atom", lineno, start, column))
         elif directive == "location":
-            locations.append(_parse_named_gloss(rest, "location", lineno, start))
+            locations.append(_parse_named_gloss(rest, "location", lineno, start, column))
         elif directive == "time":
             parts = rest.split()
             if len(parts) != 2:
                 raise ScenarioParseError("'time' wants: time <label> <real>", lineno, start)
             label, text = parts
+            if not is_name(label):
+                raise ScenarioParseError(f"bad time label {label!r}", lineno, column)
             where = column + len(rest) - len(text)  # the value ends the line
             try:
                 value = float(text)

@@ -415,7 +415,7 @@ def test_sim_out_writes_the_reconstructed_histogram(tmp_path, capsys):
     argv = ["sim", "--preset", "--photons", "20000", "--seed", "5", "--bins", "40"]
     assert run([*argv, "--out", str(out)]) == 0
     capsys.readouterr()
-    res = photonsim.simulate(photonsim.calibration_preset(20000, 5))
+    res = photonsim.simulate(photonsim.calibration_preset(20000, 5), keep_photons=True)
     counts, edges = np.histogram(res.detected_x, bins=40, range=(-10.0, 10.0))
     rows = [f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(c)}" for i, c in enumerate(counts)]
     assert out.read_text(encoding="utf-8") == "\n".join(["bin_left,bin_right,count", *rows]) + "\n"

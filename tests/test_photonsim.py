@@ -144,7 +144,7 @@ def test_config_rejects_a_window_mass_that_cannot_be_normalized():
 
 
 def test_the_largest_seed_simulates():
-    assert simulate(small(photons=100, seed=2**64 - 1)).x.shape == (100,)
+    assert simulate(small(photons=100, seed=2**64 - 1), keep_photons=True).x.shape == (100,)
 
 
 def test_calibration_preset_blocks_six_point_six_percent_classically():
@@ -328,40 +328,53 @@ def test_quantum_fraction_is_far_below_classical():
 
 def test_result_shapes_and_bookkeeping():
     cfg = small(photons=5000)
-    res = simulate(cfg)
+    res = simulate(cfg, bins=20, keep_photons=True)
     assert res.photons == 5000
     assert res.x.shape == (5000,)
     assert res.upper.shape == (5000,)
     assert res.blocked.shape == (5000,)
     assert res.upper.dtype == bool
     assert res.blocked_count == int(res.blocked.sum())
-    assert reconstruct(res, 20).counts.sum() == 5000 - res.blocked_count
+    assert res.upper_count == int(res.upper.sum())
+    assert res.counts.shape == (20,)
+    assert res.counts.sum() == 5000 - res.blocked_count
+    assert reconstruct(res).counts.sum() == 5000 - res.blocked_count
     assert np.all(np.abs(res.x) <= cfg.extent)
 
 
 def test_a_result_holds_ten_bytes_per_photon():
-    res = simulate(small(photons=5000))
+    res = simulate(small(photons=5000), keep_photons=True)
     assert res.x.nbytes + res.blocked.nbytes + res.upper.nbytes == 10 * res.photons
 
 
+def test_a_streamed_result_holds_only_its_histogram_and_counts():
+    res = simulate(small(photons=5000), bins=40)
+    assert res.upper is None and res.x is None and res.blocked is None
+    assert res.counts.nbytes == 40 * res.counts.itemsize
+    assert not res.counts.flags.writeable
+    with pytest.raises(NaflError, match="keep_photons=True"):
+        res.detected_x
+
+
 def test_slit_labels_are_a_fair_coin_independent_of_position():
-    res = simulate(small(photons=200_000, seed=5))
+    res = simulate(small(photons=200_000, seed=5), keep_photons=True)
     upper = res.upper
-    assert abs(upper.mean() - 0.5) < 0.005
+    assert abs(res.upper_count / res.photons - 0.5) < 0.005
     # position distribution conditional on the label stays the same pattern
     assert abs(res.x[upper].mean() - res.x[~upper].mean()) < 0.1
 
 
 def test_single_slit_labels_every_photon_upper():
     res = simulate(small(photons=4000, mode="single-slit"))
-    assert res.upper.all()
+    assert res.upper_count == res.photons
+    assert simulate(res.config, keep_photons=True).upper.all()
 
 
 def test_blocked_photons_lie_inside_wires_and_only_those():
     configs = [small(photons=100_000, seed=2, mode=mode) for mode in MODES]
     configs.append(small(photons=100_000, seed=2, envelope="gaussian", envelope_width=3.0))
     for cfg in configs:
-        res = simulate(cfg)
+        res = simulate(cfg, keep_photons=True)
         edges = np.ravel(make_grid(cfg))
         # inside a closed interval [lo, hi]: an odd number of edges lies
         # below the photon, or an odd number lies at or below it
@@ -380,8 +393,8 @@ def test_no_grid_blocks_nothing():
 def test_same_seed_reproduces_and_different_seed_does_not():
     cfg = small(photons=40_000, seed=11)
     assert simulate(cfg) == simulate(cfg)
-    other = simulate(small(photons=40_000, seed=12))
-    assert not np.array_equal(simulate(cfg).x, other.x)
+    other = simulate(small(photons=40_000, seed=12), keep_photons=True)
+    assert not np.array_equal(simulate(cfg, keep_photons=True).x, other.x)
 
 
 def test_worker_count_never_changes_the_result():
@@ -389,6 +402,10 @@ def test_worker_count_never_changes_the_result():
     baseline = simulate(cfg, workers=1)
     assert simulate(cfg, workers=2) == baseline
     assert simulate(cfg, workers=8) == baseline
+    kept = simulate(cfg, workers=1, keep_photons=True)
+    assert kept.x is not None
+    assert simulate(cfg, workers=2, keep_photons=True) == kept
+    assert simulate(cfg, workers=8, keep_photons=True) == kept
     with pytest.raises(ValueError):
         simulate(cfg, workers=0)
 
@@ -453,7 +470,7 @@ def test_sampler_matches_the_plain_inverse_transform(mode, envelope):
         blocked.append(absorbed)
         upper.append(np.full(count, True) if mode == "single-slit" else labels)
     for workers in (1, 2):
-        res = simulate(cfg, workers=workers)
+        res = simulate(cfg, workers=workers, keep_photons=True)
         assert np.array_equal(res.x, np.concatenate(x))
         assert np.array_equal(res.blocked, np.concatenate(blocked))
         assert np.array_equal(res.upper, np.concatenate(upper))
@@ -461,8 +478,8 @@ def test_sampler_matches_the_plain_inverse_transform(mode, envelope):
 
 def test_chunk_streams_depend_only_on_seed_and_index():
     # a longer run extends a shorter one of whole chunks photon for photon
-    short = simulate(small(photons=CHUNK_SIZE, seed=3))
-    long = simulate(small(photons=CHUNK_SIZE + 999, seed=3))
+    short = simulate(small(photons=CHUNK_SIZE, seed=3), keep_photons=True)
+    long = simulate(small(photons=CHUNK_SIZE + 999, seed=3), keep_photons=True)
     assert np.array_equal(long.x[:CHUNK_SIZE], short.x)
     assert np.array_equal(long.upper[:CHUNK_SIZE], short.upper)
 
@@ -525,14 +542,14 @@ def test_reconstruction_accepts_the_quantum_pattern():
     assert report.p_value > 0.01
     assert report.minima_aligned
     assert len(report.minima) == len(wire_centers(res.config))
-    assert report.expected.sum() == pytest.approx(res.detected_x.size, rel=1e-6)
+    assert report.expected.sum() == pytest.approx(res.photons - res.blocked_count, rel=1e-6)
 
 
 @pytest.mark.parametrize("grid", [True, False])
 def test_expected_counts_are_the_detected_share_of_the_pattern(grid):
     cfg = small(photons=200_000, seed=4, half_extent=3, wire_width=0.2, grid=grid)
-    res = simulate(cfg)
-    report = reconstruct(res, bins=9)
+    res = simulate(cfg, bins=9)
+    report = reconstruct(res)
     detected = res.photons - res.blocked_count
     # the coherent pattern's mass in each bin outside the wires, by quadrature
     wires = make_grid(cfg) if grid else ()
@@ -561,18 +578,95 @@ def test_reconstruction_p_values_are_uniform_over_seeds():
 
 @pytest.mark.parametrize("mode", ["quantum", "classical"])
 def test_detected_histogram_equals_the_histogram_of_the_detected_arrivals(mode):
-    res = simulate(small(photons=100_000, seed=6, mode=mode))
-    counts, edges = photonsim._detected_histogram(res, 100)
+    res = simulate(small(photons=100_000, seed=6, mode=mode), keep_photons=True)
     expected_counts, expected_edges = np.histogram(
         res.detected_x, bins=100, range=(-res.config.extent, res.config.extent)
     )
-    assert counts.dtype == expected_counts.dtype
-    assert np.array_equal(counts, expected_counts)
-    assert np.array_equal(edges, expected_edges)
+    assert res.counts.dtype == expected_counts.dtype
+    assert np.array_equal(res.counts, expected_counts)
+    assert np.array_equal(res.bin_edges, expected_edges)
+    assert np.array_equal(reconstruct(res).bin_edges, expected_edges)
+
+
+@pytest.mark.parametrize("bins", [2, 7, 100, photonsim.MAX_BINS])
+def test_the_bin_index_is_numpys_at_every_edge(bins):
+    # every bin edge, one ulp either side of it, and both window ends; a
+    # window of 0.75 * 7 puts most linspace edges off the scaled grid
+    for cfg in (small(), small(period=0.75, half_extent=7, wire_width=0.06)):
+        window = (-cfg.extent, cfg.extent)
+        edges = np.linspace(*window, bins + 1)
+        x = np.concatenate(
+            [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+        )
+        x = x[np.abs(x) <= cfg.extent]
+        assert x.min() == -cfg.extent and x.max() == cfg.extent
+        blocked = np.arange(x.size) % 3 == 0
+        upper = np.arange(x.size) % 2 == 0
+        # bins are [left, right), the last one closed: the bin np.histogram
+        # documents for its own edges
+        right_closed = np.minimum(np.searchsorted(edges, x, side="right") - 1, bins - 1)
+        space = photonsim._Workspace(edges)
+        for start in range(0, x.size, CHUNK_SIZE):
+            chunk = slice(start, start + CHUNK_SIZE)
+            free = np.zeros(x[chunk].size, dtype=bool)
+            space.add(upper[chunk], x[chunk], free)
+            assert np.array_equal(space.index[:free.size], right_closed[chunk])
+        space = photonsim._Workspace(edges)
+        for start in range(0, x.size, CHUNK_SIZE):
+            chunk = slice(start, start + CHUNK_SIZE)
+            space.add(upper[chunk], x[chunk], blocked[chunk])
+        expected = np.histogram(x[~blocked], bins=bins, range=window)[0]
+        assert np.array_equal(space.counts[:bins], expected)
+        assert space.counts[bins] == np.count_nonzero(blocked)
+        assert space.upper_count == np.count_nonzero(upper)
+
+
+@pytest.mark.parametrize("grid", [True, False])
+@pytest.mark.parametrize("envelope", ["flat", "gaussian"])
+@pytest.mark.parametrize("mode", MODES)
+def test_streamed_counts_equal_those_of_the_kept_photons(mode, envelope, grid):
+    width = 3.0 if envelope == "gaussian" else None
+    cfg = small(photons=2 * CHUNK_SIZE + 777, seed=13, mode=mode,
+                envelope=envelope, envelope_width=width, grid=grid)
+    kept = simulate(cfg, bins=37, keep_photons=True)
+    counts = np.histogram(kept.detected_x, bins=37, range=(-cfg.extent, cfg.extent))[0]
+    assert np.array_equal(kept.counts, counts)
+    for workers in (1, 2, 8):
+        res = simulate(cfg, workers=workers, bins=37)
+        assert res.x is None
+        assert np.array_equal(res.counts, counts)
+        assert res.blocked_count == np.count_nonzero(kept.blocked)
+        assert res.upper_count == np.count_nonzero(kept.upper)
+
+
+@pytest.mark.parametrize("envelope", ["flat", "gaussian"])
+def test_a_grid_off_run_after_a_grid_on_run_blocks_nothing(envelope):
+    # the workspace's buffers may reuse the memory the last run freed, so
+    # every chunk must write every flag
+    width = 3.0 if envelope == "gaussian" else None
+    for workers in (1, 2):
+        on = small(photons=3 * CHUNK_SIZE, seed=2, envelope=envelope,
+                   envelope_width=width, mode="classical")
+        assert simulate(on, workers=workers).blocked_count > 0
+        res = simulate(dataclasses.replace(on, grid=False), workers=workers)
+        assert res.blocked_count == 0
+        assert res.counts.sum() == res.photons
+
+
+def test_a_streamed_run_peaks_below_4_mb():
+    # the 1M-photon arrays alone would take 10 MB
+    tracemalloc.start()
+    try:
+        res = simulate(calibration_preset(1_000_000, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.photons == 1_000_000
+    assert peak < 4_000_000
 
 
 def test_reconstruct_never_copies_the_detected_photons():
-    res = simulate(calibration_preset(1_000_000, 3))
+    res = simulate(calibration_preset(1_000_000, 3), keep_photons=True)
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
@@ -580,7 +674,8 @@ def test_reconstruct_never_copies_the_detected_photons():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - held < res.x.nbytes / 2
+    # it reads the result's 100-bin histogram, never the photon arrays
+    assert peak - held < res.x.nbytes / 20
 
 
 def test_reconstruction_rejects_an_envelope_shaped_pattern():
@@ -600,9 +695,16 @@ def test_reconstruction_needs_enough_samples_per_bin():
 
 @pytest.mark.parametrize("bins", [-3, 0, 1, 8, 9, 19, photonsim.MAX_BINS + 1, 10**12])
 def test_reconstruction_rejects_an_unusable_bin_count(bins):
-    res = simulate(calibration_preset(20_000, 4))
     with pytest.raises(NaflError):
-        reconstruct(res, bins)
+        reconstruct(simulate(calibration_preset(20_000, 4), bins=bins))
+    # the bin count is fixed when simulating
+    with pytest.raises(NaflError, match="holds a 100-bin histogram"):
+        reconstruct(simulate(calibration_preset(20_000, 4)), bins)
+
+
+def test_reconstruct_takes_its_bin_count_from_the_result():
+    res = simulate(calibration_preset(20_000, 4), bins=40)
+    assert reconstruct(res, 40).dof == reconstruct(res).dof == 39
 
 
 def test_reconstruction_accepts_the_largest_bin_count():

@@ -136,6 +136,10 @@ def test_formula_errors_report_their_column_within_the_line(line, column):
         (" time t2", 2, "'time' wants"),
         ("\tatom R", 2, "'atom' wants"),
         ("location L # no gloss", 1, "'location' wants"),
+        ("time t-2 2", 6, "bad time label 't-2'"),
+        ("time\t2t 2", 6, "bad time label '2t'"),
+        ('atom  1x "one"', 7, "bad atom name '1x'"),
+        ('location a-b "left"', 10, "bad location name 'a-b'"),
         ("   track Q", 4, "duplicate 'track' line"),
         (" scenario again", 2, "duplicate 'scenario' line"),
     ],
