@@ -128,16 +128,20 @@ def _grid_switch(text: str) -> bool:
         ) from None
 
 
-_CONFIG_FIELDS = {
-    "photons": int,
-    "seed": int,
-    "period": float,
-    "half_extent": int,
-    "wire_width": float,
-    "envelope": str,
-    "envelope_width": float,
-    "mode": str,
-    "grid": _grid_switch,
+# Every SimConfig setting that a --config file or a flag may give: the
+# reader of its value and the choices its flag offers. Each has a flag named
+# after it, except grid, whose flag is --no-grid. A flag left out stays None,
+# so it overrides the file only when given.
+_SETTINGS = {
+    "photons": (int, None),
+    "seed": (int, None),
+    "period": (float, None),
+    "half_extent": (int, None),
+    "wire_width": (float, None),
+    "envelope": (str, ENVELOPES),
+    "envelope_width": (float, None),
+    "mode": (str, MODES),
+    "grid": (_grid_switch, None),
 }
 
 
@@ -153,10 +157,10 @@ def _read_config_file(path: str) -> dict:
                 raise ConfigError(f"line {number}: expected key=value, got {raw!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_FIELDS:
+            if key not in _SETTINGS:
                 raise ConfigError(f"line {number}: unknown setting {key!r}")
             try:
-                values[key] = _CONFIG_FIELDS[key](value.strip())
+                values[key] = _SETTINGS[key][0](value.strip())
             except ValueError as exc:
                 raise ConfigError(f"line {number}: {exc}") from None
     except (ConfigError, UnreadableFileError) as exc:
@@ -175,15 +179,10 @@ def cmd_sim(args: argparse.Namespace) -> int:
         settings.update(period=preset.period, wire_width=preset.wire_width)
     if args.config:
         settings.update(_read_config_file(args.config))
-    for name in (
-        "photons", "seed", "period", "half_extent", "wire_width",
-        "envelope", "envelope_width", "mode",
-    ):
+    for name in _SETTINGS:
         value = getattr(args, name)
         if value is not None:
             settings[name] = value
-    if args.no_grid:
-        settings["grid"] = False
     settings.setdefault("photons", 100_000)
     settings.setdefault("seed", 0)
     cfg = photonsim.SimConfig(**settings)
@@ -221,7 +220,11 @@ def cmd_sim(args: argparse.Namespace) -> int:
         lines = ["bin_left,bin_right,count"]
         for i, count in enumerate(counts):
             lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(count)}")
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise NaflError(f"cannot write the histogram to {args.out}: {reason}") from None
         print(f"histogram written to {args.out}")
     return code
 
@@ -356,17 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual.set_defaults(func=cmd_run)
 
     p_sim = sub.add_parser("sim", help="run the photon Monte Carlo")
-    p_sim.add_argument("--photons", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--period", type=float, default=None)
-    p_sim.add_argument("--half-extent", type=int, default=None, dest="half_extent")
-    p_sim.add_argument("--wire-width", type=float, default=None, dest="wire_width")
-    p_sim.add_argument("--envelope", choices=ENVELOPES, default=None)
-    p_sim.add_argument(
-        "--envelope-width", type=float, default=None, dest="envelope_width"
-    )
-    p_sim.add_argument("--mode", choices=MODES, default=None)
-    p_sim.add_argument("--no-grid", action="store_true", help="remove the wire grid")
+    for name, (read, choices) in _SETTINGS.items():
+        if name == "grid":
+            p_sim.add_argument("--no-grid", action="store_false", default=None,
+                               dest=name, help="remove the wire grid")
+        else:
+            p_sim.add_argument(f"--{name.replace('_', '-')}", type=read,
+                               choices=choices, default=None, dest=name)
     p_sim.add_argument(
         "--preset",
         action="store_true",

@@ -24,8 +24,8 @@ A run keeps no per-photon record unless asked to. Each chunk is binned as
 soon as it is drawn: its detected arrivals go into a histogram of ``bins``
 equal bins over the window, and its blocked and upper-slit photons into two
 counts, so a result takes O(bins) memory at any photon count. Each worker
-thread owns one chunk workspace, allocated once per run, that holds every
-chunk temporary: a fresh temporary of 128 KB or more would be mapped and
+thread owns one chunk workspace, allocated once per run, that holds the
+flat path's chunk temporaries: a fresh temporary of 128 KB or more would be mapped and
 unmapped by the allocator on every chunk. Integer totals add up the same in
 any order, so results are identical whatever the worker count. With
 ``keep_photons=True`` the same loop writes each chunk into its slice of
@@ -39,17 +39,15 @@ form of two uniforms, and the blocked flag is a comparison of that offset
 with the wire's half-width. The coherent pattern's closed form needs a sine,
 which is computed from ``tan`` by the half-angle identity: numpy runs
 float64 ``tan`` as a vector loop and ``sin`` as a scalar one. A gaussian
-envelope is sampled by inverse transform from a window-wide cumulative
-table: sort the chunk's uniforms, interpolate the sorted array in the
-table, find the wire edges among the sorted coordinates, and scatter the
-coordinates and blocked flags back to the uniforms' original order.
-Interpolation and the edge test are elementwise, so sorting changes speed
-only, never a value.
+envelope is sampled exactly too, by thinning exact proposals: a normal
+draw, thinned by the fringes in quantum mode, when the envelope is at most
+half the window wide, and otherwise the flat path's draw, thinned by the
+envelope. Rejected proposals are redrawn from the chunk's own stream, so
+results stay identical for any worker count.
 
-Configurations are bounded: at most MAX_HALF_EXTENT periods each side, a
-gaussian envelope no narrower than the MAX_PANELS quadrature panels across
-the window allow, and, with a gaussian envelope, wires at least 64 table
-knot spacings wide.
+Configurations are bounded: at most MAX_HALF_EXTENT periods each side, and
+a gaussian envelope no narrower than the MAX_PANELS quadrature panels
+across the window allow.
 
 Density masses are exact where a closed form exists (the flat envelope) and
 composite Gauss-Legendre quadrature otherwise (the gaussian envelope).
@@ -68,20 +66,11 @@ import numpy as np
 from .errors import ConfigError, NaflError, TooFewSamplesError
 from .simchoices import ENVELOPES, MODES
 
-# Knots of the window-wide cumulative table that samples a gaussian envelope.
-# Between knots the sampled density is flat, so under a wire of width w it
-# fills in the dark fringe: with knot spacing h the blocked probability is
-# about 1 + 4(h/w)^2 times the true one. SimConfig requires w >= 64 h, which
-# keeps that within 0.1%.
-TABLE_KNOTS = 65537
-
 # Photons per deterministic chunk (independent of worker count).
 CHUNK_SIZE = 32768
 
 # Widest detection window, in periods each side of center; the per-wire loops
-# stay short. The flat envelope's sampler is exact at any width. A gaussian
-# one's table has 32768 / half_extent knots per period, so its wire-width
-# bound leaves no accepted wire (w < period / 2) beyond 255 periods.
+# stay short. Both envelopes' samplers are exact at any width.
 MAX_HALF_EXTENT = 1000
 
 # Most Gauss-Legendre panels the gaussian norm may span, i.e. the bound on
@@ -151,14 +140,6 @@ class SimConfig:
                     f"quadrature panels across the window, more than {MAX_PANELS}; "
                     f"it must be at least {2.0 * self.extent / MAX_PANELS:.3g}"
                 )
-            # w >= 64 h, with h the table's knot spacing; see TABLE_KNOTS.
-            smallest = 64.0 * 2.0 * self.extent / (TABLE_KNOTS - 1)
-            if self.wire_width < smallest:
-                raise ConfigError(
-                    f"a gaussian envelope over {self.half_extent} periods of "
-                    f"{self.period:g} needs wire_width at least {smallest:.6g}; "
-                    f"got {self.wire_width:g}"
-                )
         elif self.envelope_width is not None:
             raise ConfigError("envelope_width only applies to the gaussian envelope")
         for density in ("quantum", "classical"):
@@ -190,8 +171,8 @@ def calibration_preset(photons: int, seed: int, mode: str = "quantum") -> SimCon
 class _Shape(NamedTuple):
     """The part of a SimConfig that the arrival densities depend on.
 
-    Norms and sampling tables are cached on this rather than on the whole
-    config, so a sweep over seeds or photon counts reuses them.
+    Norms are cached on this rather than on the whole config, so a sweep
+    over seeds or photon counts reuses them.
     """
 
     period: float
@@ -310,20 +291,6 @@ def wire_centers(cfg: SimConfig) -> tuple[float, ...]:
 # --------------------------------------------------------------------------
 # Sampling
 # --------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def _cumulative_table(mode: str, shape: _Shape) -> tuple[np.ndarray, np.ndarray]:
-    """(cdf knots, x knots) for inverse-transform sampling of a mode."""
-    xs = np.linspace(-shape.extent, shape.extent, TABLE_KNOTS)
-    density = _pdf(mode, xs, shape)
-    steps = 0.5 * (density[1:] + density[:-1]) * np.diff(xs)
-    cdf = np.concatenate(([0.0], np.cumsum(steps)))
-    cdf /= cdf[-1]
-    # Every run with this shape shares the arrays.
-    cdf.flags.writeable = False
-    xs.flags.writeable = False
-    return cdf, xs
 
 
 class _Workspace:
@@ -447,38 +414,58 @@ def _flat_chunk(
     x *= cfg.period
 
 
-def _table_chunk(
-    cfg: SimConfig, cdf: np.ndarray, xs: np.ndarray, edges: np.ndarray | None,
-    rng: np.random.Generator, space: _Workspace,
+def _gaussian_chunk(
+    cfg: SimConfig, rng: np.random.Generator, space: _Workspace,
     upper: np.ndarray, x: np.ndarray, blocked: np.ndarray,
 ) -> None:
-    """Fill one chunk of a gaussian-envelope run from the cumulative table.
+    """Fill one chunk of a gaussian-envelope run by thinning exact proposals.
 
-    The arrival uniforms are sorted first, so np.interp walks its table in
-    order instead of missing the cache on every photon, and the wire edges
-    are searched in the sorted coordinates rather than each photon in the
-    edges. Both steps are elementwise, so scattering their results back
-    through the permutation gives exactly the arrays the unsorted uniforms
-    would.
+    Proposals are drawn into the unfilled tail of ``x``, the kept ones moved
+    up behind those kept before, and the rest redrawn until the chunk is full
+    (Devroye, Non-Uniform Random Variate Generation, 1986, II.3). They never
+    go to the front of ``space.x``: a streamed run's ``x`` is that buffer,
+    so proposals there would overwrite the photons kept so far. An envelope
+    no wider than half the window proposes sigma times a normal, rejects it
+    outside the window and, in quantum mode, keeps it with probability
+    cos^2(pi x / period), tested as u (1 + tan^2) < 1 since numpy runs
+    float64 ``cos`` as a scalar loop. A wider one proposes from
+    ``_flat_chunk`` in the same mode and keeps with probability
+    exp(-x^2 / (2 sigma^2)). Both keep at least about 45% of proposals. The
+    slit label is a fair coin, and a photon is blocked by the flat path's
+    rule on its offset t = |x/period - rint(x/period)| from the nearest
+    maximum.
     """
-    draws = space.draws[:x.size]
-    rng.random(out=draws)
-    uniforms = draws[:, 1]
-    order = np.argsort(uniforms)
-    x_sorted = np.interp(uniforms[order], cdf, xs)
-    x[order] = x_sorted
+    sigma = float(cfg.envelope_width)  # type: ignore[arg-type]
+    t = space.t[:x.size]
+    filled = 0
+    while filled < x.size:
+        rest, u = x[filled:], t[:x.size - filled]
+        if 2.0 * sigma <= cfg.extent:
+            rng.standard_normal(out=rest)
+            rest *= sigma
+            keep = np.abs(rest) <= cfg.extent
+            if cfg.mode == "quantum":
+                rng.random(out=u)
+                tan = np.tan(rest * (np.pi / cfg.period))
+                keep &= u * (1.0 + tan * tan) < 1.0
+        else:
+            _flat_chunk(cfg, rng, space, upper[filled:], rest, blocked[filled:])
+            rng.random(out=u)
+            keep = u < np.exp(-0.5 * (rest / sigma) ** 2)
+        kept = rest[keep]
+        x[filled:filled + kept.size] = kept
+        filled += kept.size
     if cfg.mode == "single-slit":
         upper[:] = True
     else:
-        np.less(draws[:, 0], 0.5, out=upper)
-    if edges is None:
-        blocked[:] = False
+        rng.random(out=t)
+        np.less(t, 0.5, out=upper)
+    if cfg.grid:
+        np.divide(x, cfg.period, out=t)
+        t -= np.rint(t)
+        np.greater(np.abs(t), 0.5 - cfg.wire_width / (2.0 * cfg.period), out=blocked)
     else:
-        # A photon is blocked when an odd number of edges lie at or below it.
-        # On sorted coordinates that splits the chunk into runs between the
-        # edges' insertion points, alternately free and blocked.
-        runs = np.diff(np.searchsorted(x_sorted, edges), prepend=0, append=x.size)
-        blocked[order] = np.repeat(np.arange(runs.size) % 2 == 1, runs)
+        blocked[:] = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -559,11 +546,7 @@ def simulate(
     if workers < 1:
         raise ConfigError("workers must be at least 1")
     _check_bins(bins)
-    if cfg.envelope == "flat":
-        fill = partial(_flat_chunk, cfg)
-    else:
-        wires = np.ravel(make_grid(cfg)) if cfg.grid else None
-        fill = partial(_table_chunk, cfg, *_cumulative_table(cfg.mode, _shape(cfg)), wires)
+    fill = partial(_flat_chunk if cfg.envelope == "flat" else _gaussian_chunk, cfg)
     edges = np.linspace(-cfg.extent, cfg.extent, bins + 1)
     kept = None
     if keep_photons:

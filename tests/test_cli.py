@@ -421,6 +421,15 @@ def test_sim_out_writes_the_reconstructed_histogram(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == "\n".join(["bin_left,bin_right,count", *rows]) + "\n"
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_sim_out_to_an_unwritable_path_exits_1_with_one_error_line(where, tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "h.csv" if where == "missing" else tmp_path
+    reason = "No such file or directory" if where == "missing" else "Is a directory"
+    assert run(["sim", "--photons", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write the histogram to {out}: {reason}\n"
+
+
 def test_sim_no_grid(capsys):
     assert run(["sim", "--photons", "20000", "--seed", "2", "--no-grid"]) == 0
     out = capsys.readouterr().out

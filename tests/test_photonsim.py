@@ -122,17 +122,20 @@ def test_a_bad_worker_count_or_oracle_mode_is_a_config_error():
         analytic_blocked_fraction("warp", small())
 
 
-def test_a_gaussian_envelope_needs_wires_wide_against_its_table():
-    # 64 knot spacings of the window-wide table: 2 * 1000 * 64 / 65536
-    with pytest.raises(ConfigError, match="wire_width at least 1.95312; got 0.066"):
+def test_a_gaussian_envelope_takes_any_wire_width():
+    # wires narrower than 64 / 65536 of the window, which a gaussian config
+    # could not have while it was sampled from a 65537-knot table
+    configs = [
         small(envelope="gaussian", envelope_width=300.0, half_extent=MAX_HALF_EXTENT,
-              wire_width=0.066)
-    smallest = 64 * 20.0 / (photonsim.TABLE_KNOTS - 1)
-    with pytest.raises(ConfigError, match="at least 0.0195312"):
-        small(envelope="gaussian", envelope_width=3.0, wire_width=0.999 * smallest)
-    assert small(envelope="gaussian", envelope_width=3.0, wire_width=smallest).extent == 10.0
-    # the flat envelope samples exactly, so it takes any width
-    assert small(half_extent=MAX_HALF_EXTENT, wire_width=1e-6).extent == MAX_HALF_EXTENT
+              wire_width=0.066),
+        small(envelope="gaussian", envelope_width=3.0, wire_width=0.999 * 20.0 / 1024),
+        small(envelope="gaussian", envelope_width=3000.0, half_extent=MAX_HALF_EXTENT,
+              wire_width=1e-6),
+        small(half_extent=MAX_HALF_EXTENT, wire_width=1e-6),
+    ]
+    for cfg in configs:
+        res = simulate(dataclasses.replace(cfg, photons=CHUNK_SIZE + 5))
+        assert res.counts.sum() + res.blocked_count == res.photons
 
 
 def test_config_accepts_the_bounds_themselves():
@@ -374,7 +377,11 @@ def test_single_slit_labels_every_photon_upper():
 
 def test_blocked_photons_lie_inside_wires_and_only_those():
     configs = [small(photons=100_000, seed=2, mode=mode) for mode in MODES]
-    configs.append(small(photons=100_000, seed=2, envelope="gaussian", envelope_width=3.0))
+    # an envelope at most half the window wide, and a wider one
+    configs += [
+        small(photons=100_000, seed=2, envelope="gaussian", envelope_width=width, mode=mode)
+        for width in (3.0, 8.0) for mode in ("quantum", "classical")
+    ]
     for cfg in configs:
         res = simulate(cfg, keep_photons=True)
         edges = np.ravel(make_grid(cfg))
@@ -412,19 +419,17 @@ def test_worker_count_never_changes_the_result():
         simulate(cfg, workers=0)
 
 
-def test_seed_sweep_reuses_the_sampling_table_and_norms():
+def test_seed_sweep_reuses_the_norms():
     # a geometry no other test uses, so the first run is a miss
     cfg = small(photons=500, period=0.75, wire_width=0.07,
                 envelope="gaussian", envelope_width=2.5)
     simulate(cfg)
-    tables = photonsim._cumulative_table.cache_info().hits
     norms = photonsim._norm.cache_info().hits
     for seed in range(1, 6):
         swept = dataclasses.replace(cfg, seed=seed, photons=500 + seed)
         simulate(swept)
         analytic_blocked_fraction("quantum", swept)
         assert simulate(swept, workers=2) == simulate(swept, workers=1)
-    assert photonsim._cumulative_table.cache_info().hits >= tables + 15
     assert photonsim._norm.cache_info().hits >= norms + 5
 
 
@@ -444,27 +449,42 @@ def _plain_flat_chunk(cfg, rng, count):
     return pick & 1 == 1, x, blocked
 
 
-def _plain_table_chunk(cfg, rng, count):
-    """(labels, x, blocked): inverse transform in the table, unsorted."""
-    cdf, xs = photonsim._cumulative_table(cfg.mode, photonsim._shape(cfg))
-    draws = rng.random((count, 2))
-    x = np.interp(draws[:, 1], cdf, xs)
-    blocked = np.searchsorted(np.ravel(make_grid(cfg)), x, side="right") % 2 == 1
-    return draws[:, 0] < 0.5, x, blocked
+def _plain_gaussian_chunk(cfg, rng, count):
+    """(labels, x, blocked): thinned proposals, redrawn until count are kept."""
+    sigma = cfg.envelope_width
+    x = np.empty(0)
+    while x.size < count:
+        need = count - x.size
+        if 2 * sigma <= cfg.extent:
+            y = sigma * rng.standard_normal(need)
+            keep = np.abs(y) <= cfg.extent
+            if cfg.mode == "quantum":
+                # cos^2 as 1 / (1 + tan^2), in the sampler's order
+                u = rng.random(need)
+                keep &= u * (1 + np.tan(y * (np.pi / cfg.period)) ** 2) < 1
+        else:
+            y = _plain_flat_chunk(cfg, rng, need)[1]
+            keep = rng.random(need) < np.exp(-0.5 * (y / sigma) ** 2)
+        x = np.concatenate([x, y[keep]])
+    offset = np.abs(x / cfg.period - np.rint(x / cfg.period))
+    blocked = offset > 1 / 2 - cfg.wire_width / (2 * cfg.period)
+    return rng.random(count) < 0.5, x, blocked
 
 
-@pytest.mark.parametrize("envelope", ["flat", "gaussian"])
+@pytest.mark.parametrize("envelope", ["flat", "gaussian", "gaussian-wide"])
 @pytest.mark.parametrize("mode", MODES)
 def test_sampler_matches_the_plain_inverse_transform(mode, envelope):
-    if envelope == "gaussian":
-        geometry, plain = dict(envelope_width=3.0), _plain_table_chunk
-    else:
-        # a period other than 1 and an odd half extent, so that neither
-        # the scaling nor the half-period indexing hides behind a default
-        geometry = dict(period=0.75, half_extent=7, wire_width=0.06)
+    # a period other than 1 and an odd half extent, so that neither the
+    # scaling nor the half-period indexing hides behind a default
+    geometry = dict(period=0.75, half_extent=7, wire_width=0.06)
+    if envelope == "flat":
         plain = _plain_flat_chunk
-    cfg = small(photons=2 * CHUNK_SIZE + 1234, seed=17, mode=mode,
-                envelope=envelope, **geometry)
+    else:
+        # an envelope at most half the window wide, and a wider one
+        width = 2.0 if envelope == "gaussian" else 4.0
+        geometry.update(envelope="gaussian", envelope_width=width)
+        plain = _plain_gaussian_chunk
+    cfg = small(photons=2 * CHUNK_SIZE + 1234, seed=17, mode=mode, **geometry)
     upper, x, blocked = [], [], []
     for index, start in enumerate(range(0, cfg.photons, CHUNK_SIZE)):
         count = min(CHUNK_SIZE, cfg.photons - start)
@@ -592,26 +612,40 @@ def test_monte_carlo_agrees_with_quadrature():
     assert abs(classical_res.blocked_fraction - classical_oracle) < 3 * sigma
 
 
-@pytest.mark.parametrize("half_extent", [10, MAX_HALF_EXTENT])
-def test_blocked_fraction_is_unbiased_across_the_window_sizes(half_extent):
-    # about 940 photons blocked in expectation; a sampler whose density
-    # fills in the dark fringes shows as a surplus of many sigma
-    cfg = small(photons=2_000_000, seed=9, half_extent=half_extent, wire_width=0.066)
+@pytest.mark.parametrize("half_extent, wire_width, envelope_width", [
+    pytest.param(10, 0.066, None, id="10"),
+    pytest.param(MAX_HALF_EXTENT, 0.066, None, id="1000"),
+    # gaussian envelopes at most half the window wide, and wider ones
+    pytest.param(10, 0.066, 0.3, id="10-gaussian-0.3"),
+    pytest.param(10, 0.066, 3.0, id="10-gaussian-3"),
+    pytest.param(10, 0.066, 8.0, id="10-gaussian-8"),
+    pytest.param(MAX_HALF_EXTENT, 0.02, 300.0, id="1000-gaussian-300"),
+    pytest.param(MAX_HALF_EXTENT, 0.066, 3000.0, id="1000-gaussian-3000"),
+])
+def test_blocked_fraction_is_unbiased_across_the_window_sizes(
+    half_extent, wire_width, envelope_width,
+):
+    # about 940 photons blocked in expectation at w = 0.066; a sampler whose
+    # density fills in the dark fringes shows as a surplus of many sigma
+    envelope = "flat" if envelope_width is None else "gaussian"
+    cfg = small(photons=2_000_000, seed=9, half_extent=half_extent, wire_width=wire_width,
+                envelope=envelope, envelope_width=envelope_width)
     oracle = analytic_blocked_fraction("quantum", cfg)
     sigma = math.sqrt(oracle * (1 - oracle) / cfg.photons)
     assert abs(simulate(cfg).blocked_fraction - oracle) < 4 * sigma
 
 
-def test_a_flat_config_builds_no_table_and_sorts_nothing(monkeypatch):
+def test_no_config_sorts_anything(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a flat-envelope run reached the table sampler")
+        raise AssertionError("a run sorted its photons")
 
-    monkeypatch.setattr(photonsim, "_cumulative_table", refuse)
     monkeypatch.setattr(np, "argsort", refuse)
-    for mode in MODES:
-        assert simulate(small(photons=CHUNK_SIZE + 5, mode=mode), workers=2).photons == (
-            CHUNK_SIZE + 5
-        )
+    for width, mode in itertools.product((None, 3.0, 8.0), MODES):
+        envelope = "flat" if width is None else "gaussian"
+        cfg = small(photons=CHUNK_SIZE + 5, mode=mode, envelope=envelope, envelope_width=width)
+        for keep_photons in (False, True):
+            res = simulate(cfg, workers=2, keep_photons=keep_photons)
+            assert res.counts.sum() + res.blocked_count == cfg.photons
 
 
 def test_gaussian_envelope_simulates_and_matches_its_oracle():
@@ -661,12 +695,17 @@ def test_expected_counts_are_the_detected_share_of_the_pattern(grid):
 
 def test_reconstruction_p_values_are_uniform_over_seeds():
     # the preset's wires absorb 4.7e-4 of the pattern; expected counts that
-    # still held that mass skewed these p-values low (KS p 1.5e-4 here)
-    p_values = [
-        reconstruct(simulate(calibration_preset(1_000_000, seed)), 100).p_value
-        for seed in range(20)
-    ]
-    assert stats.kstest(p_values, "uniform").pvalue > 0.01
+    # still held that mass skewed these p-values low (KS p 1.5e-4 here). A
+    # gaussian sampler with the wrong envelope shape, whose blocked fraction
+    # could still be right, skews them too: one envelope at most half the
+    # window wide and one wider, for the sampler's two proposal branches.
+    def gaussian(width):
+        return lambda seed: SimConfig(photons=1_000_000, seed=seed, wire_width=0.066,
+                                      envelope="gaussian", envelope_width=width)
+
+    for make in (lambda seed: calibration_preset(1_000_000, seed), gaussian(3.0), gaussian(8.0)):
+        p_values = [reconstruct(simulate(make(seed)), 100).p_value for seed in range(20)]
+        assert stats.kstest(p_values, "uniform").pvalue > 0.01
 
 
 @pytest.mark.parametrize("mode", ["quantum", "classical"])
@@ -715,12 +754,12 @@ def test_the_bin_index_is_numpys_at_every_edge(bins):
 
 
 @pytest.mark.parametrize("grid", [True, False])
-@pytest.mark.parametrize("envelope", ["flat", "gaussian"])
+@pytest.mark.parametrize("envelope", ["flat", "gaussian", "gaussian-wide"])
 @pytest.mark.parametrize("mode", MODES)
 def test_streamed_counts_equal_those_of_the_kept_photons(mode, envelope, grid):
-    width = 3.0 if envelope == "gaussian" else None
-    cfg = small(photons=2 * CHUNK_SIZE + 777, seed=13, mode=mode,
-                envelope=envelope, envelope_width=width, grid=grid)
+    width = {"flat": None, "gaussian": 3.0, "gaussian-wide": 8.0}[envelope]
+    cfg = small(photons=2 * CHUNK_SIZE + 777, seed=13, mode=mode, grid=grid,
+                envelope=envelope.removesuffix("-wide"), envelope_width=width)
     kept = simulate(cfg, bins=37, keep_photons=True)
     counts = np.histogram(kept.detected_x, bins=37, range=(-cfg.extent, cfg.extent))[0]
     assert np.array_equal(kept.counts, counts)
