@@ -55,14 +55,3 @@ for text in ("P", "Q", "P | ~P", "P & ~P"):
     phi = parse_formula(text)
     state = "legal" if qmq.is_legal(phi) else "ILLEGAL"
     print(f"  {text!s:10} {state:8} ({qmq.classify(phi).value})")
-
-print()
-print("=" * 64)
-print("4. What the theory proves, bounded enumeration")
-print("=" * 64)
-
-print(f"\n{t0.name} theorems up to depth 3: {sorted(map(str, t0.theorems(3)))}")
-found = qmq.theorems(1)
-print(f"{qmq.name} theorems up to depth 1: {sorted(map(str, found))}")
-print("\nAn empty theory proves nothing at any depth; legality keeps even")
-print("tautologies out until their atoms are decided.")

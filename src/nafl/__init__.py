@@ -29,7 +29,6 @@ from .duality import (
 )
 from .errors import (
     BeforeExperimentError,
-    BoundExceededError,
     ConfigError,
     IllegalAxiomError,
     IllegalPropositionError,
@@ -146,7 +145,6 @@ __all__ = [
     "BCPReport",
     "BOUND_TOLERANCE",
     "BeforeExperimentError",
-    "BoundExceededError",
     "ClassicalModel",
     "ConfigError",
     "DualityRecord",

@@ -1,12 +1,11 @@
 """Command-line front end.
 
-Five subcommands:
+Four subcommands:
 
 * check    - classify a theory file's atoms and queries;
 * run      - execute a scenario and print the full timeline report;
 * duality  - print just the complementarity table for a scenario;
-* sim      - run the photon Monte Carlo and summarize it;
-* repl     - interactive timeline session on a growing theory.
+* sim      - run the photon Monte Carlo and summarize it.
 
 Exit codes: 0 success; 1 malformed input, no numpy for sim, or stdout
 closed early by its reader (a broken pipe); 2 a well-formed theory or run
@@ -18,24 +17,20 @@ Every NaflError reaches ``main``, which prints ``error: <message>`` on
 stderr and exits with the error class's ``exit_code``: 1 for input the
 program cannot read (parse, vocabulary, validation, config), 2 for a
 rejection (illegal axiom, inconsistency, a failed scenario event, too few
-samples per bin). Only the REPL, which prints ``rejected: <message>`` and
-goes on, and sim's skipped reconstruction catch one first.
+samples per bin). Only sim's skipped reconstruction catches one first.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from pathlib import Path
+from typing import TextIO
 
 from . import photonsim
-from .duality import _endpoints
 from .errors import (
     ConfigError,
     IllegalAxiomError,
-    IllegalPropositionError,
     InconsistentTheoryError,
     NaflError,
     TooFewSamplesError,
@@ -44,16 +39,15 @@ from .errors import (
 )
 from .scenarios import builtin_names, load_scenario, run_scenario
 from .simchoices import ENVELOPES, MODES
-from .syntax import format_formula, parse_formula_at, split_line
-from .theories import Theory, load_theory
-from .timeline import Timeline, format_stamp
+from .syntax import format_formula, split_line
+from .theories import load_theory
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_CHECK_FAILED = 3
 EXIT_EXPECTATION_MISMATCH = 4
 
-# What an error's message is prefixed with, on stderr and in the REPL.
+# What an error's message is prefixed with on stderr.
 _PREFIX = {IllegalAxiomError: "illegal axiom: ", InconsistentTheoryError: "inconsistent: "}
 
 
@@ -146,26 +140,35 @@ _SETTINGS = {
 
 
 def _read_config_file(path: str) -> dict:
-    """The settings of a ``--config`` file; each error names the file."""
+    """The settings of a ``--config`` file, one ``key = value`` a line, with
+    comments cut by ``syntax.split_line``'s rule; each error names the file,
+    the line and the column of the key or value at fault."""
     values: dict = {}
     try:
         for number, raw in enumerate(read_text(path).splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            words = split_line(raw)
+            if words is None:
                 continue
-            if "=" not in line:
-                raise ConfigError(f"line {number}: expected key=value, got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
+            _, start, rest, column = words
+            line = raw[start - 1 : column - 1 + len(rest)].rstrip()  # without its comment
+            key, equals, value = line.partition("=")
+            key = key.rstrip()
+            if not equals:
+                raise ConfigError(f"expected key=value, got {line!r} (line {number}, column {start})")
             if key not in _SETTINGS:
-                raise ConfigError(f"line {number}: unknown setting {key!r}")
+                raise ConfigError(f"unknown setting {key!r} (line {number}, column {start})")
             try:
                 values[key] = _SETTINGS[key][0](value.strip())
             except ValueError as exc:
-                raise ConfigError(f"line {number}: {exc}") from None
+                where = start + len(line) - len(value.lstrip())
+                raise ConfigError(f"{exc} (line {number}, column {where})") from None
     except (ConfigError, UnreadableFileError) as exc:
         raise type(exc)(f"config file: {exc}") from None
     return values
+
+
+def _unwritable(path: str, exc: OSError) -> NaflError:
+    return NaflError(f"cannot write the histogram to {path}: {exc.strerror or exc}")
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
@@ -187,7 +190,20 @@ def cmd_sim(args: argparse.Namespace) -> int:
     settings.setdefault("seed", 0)
     cfg = photonsim.SimConfig(**settings)
     photonsim._wire_windows(cfg, args.bins)
+    if not args.out:
+        return _run_sim(cfg, args, None)
+    # The histogram file is opened before the run, so that a path that cannot
+    # be written costs no Monte Carlo; the histogram is written at the end.
+    try:
+        out = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _unwritable(args.out, exc) from None
+    with out:
+        return _run_sim(cfg, args, out)
 
+
+def _run_sim(cfg: photonsim.SimConfig, args: argparse.Namespace, out: TextIO | None) -> int:
+    """Run the Monte Carlo, print its summary and write its histogram to out."""
     result = photonsim.simulate(cfg, workers=args.workers, bins=args.bins)
     oracle = photonsim.analytic_blocked_fraction(cfg.mode, cfg)
     print(
@@ -215,118 +231,18 @@ def cmd_sim(args: argparse.Namespace) -> int:
         aligned = "yes" if recon.minima_aligned else "no"
         print(f"fringe minima aligned with wire centers: {aligned}")
 
-    if args.out:
+    if out is not None:
         counts, edges = result.counts, result.bin_edges
         lines = ["bin_left,bin_right,count"]
         for i, count in enumerate(counts):
             lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(count)}")
         try:
-            Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            out.write("\n".join(lines) + "\n")
+            out.flush()
         except OSError as exc:
-            reason = exc.strerror or exc
-            raise NaflError(f"cannot write the histogram to {args.out}: {reason}") from None
+            raise _unwritable(args.out, exc) from None
         print(f"histogram written to {args.out}")
     return code
-
-
-# --------------------------------------------------------------------------
-# repl
-# --------------------------------------------------------------------------
-
-
-def _timeline(vocabulary: frozenset[str], declarations: list[tuple[float, tuple]]) -> Timeline:
-    """The session's timeline, rebuilt from its vocabulary and its (time,
-    axioms) declarations; building it validates both."""
-    grouped: list[tuple[float, list]] = []
-    for when, axioms in declarations:
-        if grouped and grouped[-1][0] == when:
-            grouped[-1][1].extend(axioms)
-        else:
-            grouped.append((when, list(axioms)))
-    base_axioms: tuple = ()
-    if grouped and grouped[0][0] == 0.0:
-        base_axioms = tuple(grouped.pop(0)[1])
-    tl = Timeline.begin(Theory("T0", vocabulary, base_axioms), 0.0)
-    for when, axioms in grouped:
-        tl = tl.declare(when, tuple(axioms))
-    return tl
-
-
-def cmd_repl(args: argparse.Namespace) -> int:
-    # A command that changes the session builds the trial timeline first and
-    # keeps the change only if that succeeds.
-    vocabulary: frozenset[str] = frozenset()
-    declarations: list[tuple[float, tuple]] = []
-    clock = 0.0
-    interactive = sys.stdin.isatty()
-    if interactive:
-        print("interactive timeline; commands: atom, advance, declare, truth, model, duality, quit")
-    lineno = 0
-    while True:
-        if interactive:
-            print("nafl> ", end="", flush=True)
-        line = sys.stdin.readline()
-        if not line:
-            break
-        lineno += 1
-        words = split_line(line)
-        if words is None:
-            continue
-        command, _, rest, column = words
-        try:
-            if command in ("quit", "exit"):
-                break
-            elif command == "atom":
-                names = rest.split()
-                if not names:
-                    print("usage: atom NAME [NAME ...]")
-                    continue
-                grown = vocabulary.union(names)
-                _timeline(grown, declarations)
-                vocabulary = grown
-                print(f"vocabulary: {' '.join(sorted(vocabulary))}")
-            elif command == "advance":
-                when = float(rest)
-                if not math.isfinite(when):
-                    raise ValueError(f"time {rest} is not finite")
-                if when < clock:
-                    print(f"clock already at {format_stamp(clock)}; cannot go back")
-                    continue
-                clock = when
-                print(f"t = {format_stamp(clock)}")
-            elif command == "declare":
-                phi = parse_formula_at(rest, lineno, column)
-                grown = declarations + [(clock, (phi,))]
-                _timeline(vocabulary, grown)
-                declarations = grown
-                print(f"declared {format_formula(phi)} at t = {format_stamp(clock)}")
-            elif command == "truth":
-                phi = parse_formula_at(rest, lineno, column)
-                tl = _timeline(vocabulary, declarations)
-                theory = tl.theory_at(clock)
-                kind = "superposed" if theory.undecided_atoms() else "classical model"
-                print(f"{tl.truth_at(clock, phi).value} ({kind})")
-            elif command == "model":
-                theory = _timeline(vocabulary, declarations).theory_at(clock)
-                undecided = sorted(theory.undecided_atoms())
-                if undecided:
-                    print(f"nonclassical (superposed atoms: {' '.join(undecided)})")
-                else:
-                    print("classical")
-                for atom in sorted(theory.vocabulary):
-                    print(f"  {atom}: {theory.atom_status(atom).value}")
-            elif command == "duality":
-                theory = _timeline(vocabulary, declarations).theory_at(clock)
-                for atom in sorted(theory.vocabulary):
-                    d, v = _endpoints(theory.atom_status(atom))
-                    print(f"  {atom}: D={d:.1f} V={v:.1f} D^2+V^2={d * d + v * v:.1f}")
-            else:
-                print(f"unknown command {command!r}")
-        except IllegalPropositionError:
-            print("rejected: illegal in theory syntax")
-        except (NaflError, ValueError) as exc:
-            print(f"rejected: {_explain(exc)}")
-    return EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -376,9 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", default=None, help="key=value settings file")
     p_sim.add_argument("--out", default=None, help="write histogram CSV here")
     p_sim.set_defaults(func=cmd_sim)
-
-    p_repl = sub.add_parser("repl", help="interactive timeline session")
-    p_repl.set_defaults(func=cmd_repl)
     return parser
 
 

@@ -51,10 +51,6 @@ class InconsistentTheoryError(NaflError):
     exit_code = 2
 
 
-class BoundExceededError(NaflError):
-    """Enumeration bound (depth or vocabulary) exceeded."""
-
-
 class NoSuperpositionError(NaflError):
     """Every atom is decided, so no superposed model exists."""
 

@@ -42,7 +42,6 @@ from typing import Iterable, Sequence
 
 from . import classical
 from .errors import (
-    BoundExceededError,
     IllegalAxiomError,
     InconsistentTheoryError,
     ParseError,
@@ -51,11 +50,7 @@ from .errors import (
     read_text,
 )
 from .record import record
-from .syntax import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of
-from .syntax import is_name, parse_formula_at, split_line
-
-# Materializing more formula trees than this is refused by theorems().
-_ENUMERATION_CAP = 1_000_000
+from .syntax import Atom, Formula, atoms_of, is_name, parse_formula_at, split_line
 
 
 class PropStatus(enum.Enum):
@@ -228,58 +223,6 @@ class Theory:
             return self
         suffix = "+".join(str(d) for d in delta)
         return self._admit(f"{self.name}+{suffix}", delta)
-
-    # -- theorem enumeration --------------------------------------------------
-
-    def theorems(self, depth_bound: int) -> frozenset[Formula]:
-        """All formulas up to depth_bound that are legal and entailed.
-
-        A formula that is entailed is not undecided, so legality can only
-        come from layer (b) of the rule: every one of its atoms is decided.
-        Enumeration therefore ranges over the decided atoms only; formulas
-        touching any undecided atom can never qualify.
-        """
-        if depth_bound > 4:
-            raise BoundExceededError("depth_bound above 4 is not supported")
-        if len(self.vocabulary) > 4:
-            raise BoundExceededError(
-                "theorem enumeration supports vocabularies of at most 4 atoms"
-            )
-        decided = self.decided_atoms()
-        if not decided:
-            return frozenset()
-
-        exact: list[set[Formula]] = [{Atom(name) for name in decided}]
-        cumulative: set[Formula] = set(exact[0])
-        for depth in range(1, depth_bound + 1):
-            previous_cumulative = len(cumulative)
-            inner = previous_cumulative - len(exact[-1])  # strictly shallower
-            projected = (
-                len(exact[-1])
-                + 4 * (previous_cumulative**2 - inner**2)
-                + previous_cumulative
-            )
-            if projected > _ENUMERATION_CAP:
-                raise BoundExceededError(
-                    f"depth {depth} would enumerate on the order of "
-                    f"{projected} formulas; the cap is {_ENUMERATION_CAP}"
-                )
-            level: set[Formula] = set()
-            for sub in exact[-1]:
-                level.add(Not(sub))
-            shallow = cumulative - exact[-1]
-            for left in cumulative:
-                for right in cumulative:
-                    if left in shallow and right in shallow:
-                        continue  # both strictly shallower: already generated
-                    for build in (And, Or, Implies, Iff):
-                        level.add(build(left, right))
-            level -= cumulative
-            exact.append(level)
-            cumulative |= level
-
-        models = self._models
-        return frozenset(phi for phi in cumulative if (self._table(phi) & models) == models)
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,9 @@ compares the stored files with fresh runs byte for byte, so a change that
 alters the CLI's output on purpose shows up as a diff of these files.
 
 The cases are ``run`` and ``duality`` on every built-in scenario, ``run``
-on every ``scenarios/*.scn`` file, and ``check`` on every ``theories/*.thy``
-file plus one missing file.
+on every ``scenarios/*.scn`` file, ``check`` on every ``theories/*.thy``
+file plus one missing file, and ``sim --config`` on every ``configs/*.cfg``
+file.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ def cases() -> dict[str, list[str]]:
         found[f"run-{file[: -len('.scn')]}"] = ["run", f"scenarios/{file}"]
     for file in _files("theories", ".thy") + ["missing.thy"]:
         found[f"check-{file[: -len('.thy')]}"] = ["check", f"theories/{file}"]
+    for file in _files("configs", ".cfg"):
+        found[f"sim-{file[: -len('.cfg')]}"] = ["sim", "--config", f"configs/{file}"]
     return found
 
 

@@ -4,7 +4,6 @@
 well-formed but rejected, 3 failed soundness check, 4 expectation mismatch.
 """
 
-import io
 import json
 import types
 from pathlib import Path
@@ -394,7 +393,8 @@ def test_sim_config_grid_takes_only_on_and_off_words(tmp_path, capsys):
     cfg.write_text("photons = 20000\nseed = 2\ngrid = ture\n", encoding="utf-8")
     assert run(["sim", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: config file: line 3: grid wants one of ")
+    assert captured.err.startswith("error: config file: grid wants one of ")
+    assert captured.err.endswith("got 'ture' (line 3, column 8)\n")
     assert captured.out == ""
     words = (("OFF", "grid=off"), ("No", "grid=off"), ("Yes", "grid=on"), ("1", "grid=on"))
     for word, shown in words:
@@ -407,7 +407,27 @@ def test_sim_config_bad_number_names_its_line(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("# photons next\nphotons = 1e6\n", encoding="utf-8")
     assert run(["sim", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith("error: config file: line 2: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file: ")
+    assert err.endswith(" (line 2, column 11)\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seed = 1\n  wibble = 3\n", "unknown setting 'wibble' (line 2, column 3)"),
+        ("\tphotons 20000  # no '=' here\n", "expected key=value, got 'photons 20000' (line 1, column 2)"),
+        ("seed=2 # seed=x\nhalf_extent =  1.5\n", "invalid literal for int() with base 10: '1.5' (line 2, column 16)"),
+        ("period = 1.5e # a comment = cut\n", "could not convert string to float: '1.5e' (line 1, column 10)"),
+    ],
+)
+def test_sim_config_errors_name_the_line_and_column(text, message, tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert run(["sim", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: config file: {message}")
+    assert captured.out == ""
 
 
 def test_sim_out_writes_the_reconstructed_histogram(tmp_path, capsys):
@@ -426,8 +446,9 @@ def test_sim_out_to_an_unwritable_path_exits_1_with_one_error_line(where, tmp_pa
     out = tmp_path / "no" / "such" / "dir" / "h.csv" if where == "missing" else tmp_path
     reason = "No such file or directory" if where == "missing" else "Is a directory"
     assert run(["sim", "--photons", "10", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: cannot write the histogram to {out}: {reason}\n"
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write the histogram to {out}: {reason}\n"
+    assert captured.out == ""  # refused before the run, so no summary
 
 
 def test_sim_no_grid(capsys):
@@ -435,88 +456,3 @@ def test_sim_no_grid(capsys):
     out = capsys.readouterr().out
     assert "grid=off" in out
     assert "blocked: 0 / 20000" in out
-
-
-# -- repl -----------------------------------------------------------------------
-
-
-def feed(monkeypatch, text):
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
-
-
-def test_repl_session(monkeypatch, capsys):
-    feed(
-        monkeypatch,
-        "atom P Q\n"
-        "declare Q -> P\n"
-        "truth P\n"
-        "truth P | ~P\n"
-        "model\n"
-        "advance 1\n"
-        "declare Q\n"
-        "truth P\n"
-        "duality\n"
-        "quit\n",
-    )
-    assert run(["repl"]) == 0
-    out = capsys.readouterr().out
-    assert "vocabulary: P Q" in out
-    assert "neither (superposed)" in out
-    assert "rejected: illegal in theory syntax" in out
-    assert "nonclassical (superposed atoms: P Q)" in out
-    assert "true (classical model)" in out
-    assert "D=1.0 V=0.0" in out
-
-
-def test_repl_survives_rejections(monkeypatch, capsys):
-    feed(
-        monkeypatch,
-        "atom A\n"
-        "declare A | ~A\n"
-        "declare A\n"
-        "truth A\n"
-        "quit\n",
-    )
-    assert run(["repl"]) == 0
-    out = capsys.readouterr().out
-    assert "rejected: illegal axiom" in out
-    assert "true (classical model)" in out
-
-
-def test_repl_keeps_no_name_of_a_rejected_atom_line(monkeypatch, capsys):
-    feed(monkeypatch, f"atom {' '.join('ABCDEFGHIJKLMNOPQ')}\natom R 1x\natom R\nmodel\n")
-    assert run(["repl"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "rejected: theory 'T0' declares 17 atoms; the supported bound is 16",
-        "rejected: theory 'T0' declares bad atom name(s) ['1x']",
-        "vocabulary: R",
-        "nonclassical (superposed atoms: R)",
-        "  R: undecidable",
-    ]
-
-
-def test_repl_rejects_non_finite_times(monkeypatch, capsys):
-    feed(monkeypatch, "atom P\nadvance 1\nadvance nan\nadvance inf\nadvance 0.5\nquit\n")
-    assert run(["repl"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("rejected: time") == 2
-    assert "clock already at 1; cannot go back" in out
-
-
-def test_repl_splits_words_at_tabs(monkeypatch, capsys):
-    feed(monkeypatch, "atom\tP Q\ndeclare\tQ\ntruth\tQ\nmodel\t# tab before a comment\ntruth\tQ &\n")
-    assert run(["repl"]) == 0
-    out = capsys.readouterr().out
-    assert "unknown command" not in out
-    assert "vocabulary: P Q" in out
-    assert "true (superposed)" in out
-    assert "  Q: provable" in out
-    assert "(line 5, column 10)" in out
-
-
-def test_repl_handles_garbage(monkeypatch, capsys):
-    feed(monkeypatch, "frobnicate\nadvance backwards\ntruth P(\nquit\n")
-    assert run(["repl"]) == 0
-    out = capsys.readouterr().out
-    assert "unknown command 'frobnicate'" in out
-    assert "rejected:" in out

@@ -1,9 +1,11 @@
 """Scenario DSL parsing, validation, execution, and reports."""
 
-import time
+import os
+import sys
 
 import pytest
 
+import nafl
 from nafl.errors import (
     ParseError,
     ScenarioExecutionError,
@@ -310,21 +312,37 @@ def retro_chain(events):
     return parse_scenario("\n".join(lines) + "\n")
 
 
+def nafl_lines_executed(scenario):
+    """The lines of nafl's own code that run_scenario executes: a count of
+    the work done, which the host's load does not move."""
+    package = os.path.dirname(nafl.__file__) + os.sep
+    count = 0
+
+    def in_frame(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return in_frame
+
+    def on_call(frame, event, arg):
+        return in_frame if frame.f_code.co_filename.startswith(package) else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        run_scenario(scenario)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
 def test_retro_events_cost_no_more_than_the_table_they_fill():
     # The report has one row per retro event and one column per time, so
-    # doubling the events quadruples its cells. 6x leaves room for that and
-    # for noise, and fails a per-cell scan of every retro assertion (7x).
-    def best_of_two(scenario):
-        timings = []
-        for _ in range(2):
-            start = time.perf_counter()
-            run_scenario(scenario)
-            timings.append(time.perf_counter() - start)
-        return min(timings)
-
+    # doubling the events quadruples its cells. 6x leaves room for that, and
+    # fails a per-cell scan of every retro assertion (7.4x).
     small, large = retro_chain(100), retro_chain(200)
     assert len(run_scenario(large).truth_rows) == 2 + 200
-    assert best_of_two(large) < 6 * best_of_two(small)
+    assert nafl_lines_executed(large) < 6 * nafl_lines_executed(small)
 
 
 def test_eventless_scenario_runs():

@@ -1,4 +1,4 @@
-"""Theories, the layered legality rule, and theorem enumeration.
+"""Theories, the layered legality rule, and the theory file format.
 
 The central semantics: a formula belongs to a theory's syntax when it is
 undecided there, or when every atom in it is already decided. Truth and
@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nafl.errors import (
-    BoundExceededError,
     IllegalAxiomError,
     InconsistentTheoryError,
     NaflError,
@@ -223,53 +222,6 @@ def test_undecided_and_decided_atom_lists():
     theory = Theory("T", frozenset({"A", "Q"}), (pf("Q"),))
     assert theory.decided_atoms() == ("Q",)
     assert theory.undecided_atoms() == ("A",)
-
-
-# -- theorem enumeration ---------------------------------------------------------
-
-
-def test_empty_theory_has_no_theorems():
-    assert t0("A", "B").theorems(3) == frozenset()
-
-
-def test_theorems_of_a_decided_theory():
-    theory = qm_plus_q()
-    found = theory.theorems(1)
-    assert pf("P") in found
-    assert pf("Q") in found
-    assert pf("P & Q") in found
-    assert pf("P | ~P") not in found  # that needs depth 2
-    assert pf("P | ~P") in theory.theorems(2)
-    assert pf("~P") not in theory.theorems(2)
-
-
-def test_theorems_exclude_formulas_touching_undecided_atoms():
-    theory = Theory("T", frozenset({"A", "Q"}), (pf("Q"),))
-    found = theory.theorems(2)
-    assert pf("Q") in found
-    assert all("A" not in _atom_names(phi) for phi in found)
-
-
-def _atom_names(phi):
-    from nafl.syntax import atoms_of
-
-    return atoms_of(phi)
-
-
-def test_theorems_bounds():
-    theory = qm_plus_q()
-    with pytest.raises(BoundExceededError):
-        theory.theorems(5)
-    wide = Theory("W", frozenset({"A", "B", "C", "D", "E"}), ())
-    with pytest.raises(BoundExceededError):
-        wide.theorems(1)
-
-
-def test_every_theorem_is_legal_and_provable():
-    theory = qm_plus_q()
-    for phi in theory.theorems(2):
-        assert theory.is_legal(phi)
-        assert theory.classify(phi) is PropStatus.PROVABLE
 
 
 # -- the file format --------------------------------------------------------------
