@@ -189,11 +189,12 @@ def cmd_sim(args: argparse.Namespace) -> int:
     settings.setdefault("photons", 100_000)
     settings.setdefault("seed", 0)
     cfg = photonsim.SimConfig(**settings)
+    photonsim._check_run(args.bins, args.workers)
     photonsim._wire_windows(cfg, args.bins)
     if not args.out:
         return _run_sim(cfg, args, None)
-    # The histogram file is opened before the run, so that a path that cannot
-    # be written costs no Monte Carlo; the histogram is written at the end.
+    # The histogram file is opened after every check and before the run: a
+    # refused run leaves no file, and an unwritable path costs no Monte Carlo.
     try:
         out = open(args.out, "w", encoding="utf-8")
     except OSError as exc:

@@ -46,30 +46,30 @@ def assign_duality(scenario: "Scenario", tl: Timeline) -> tuple[DualityRecord, .
     )
 
 
+def _within_bound(r: DualityRecord) -> bool:
+    return r.squared_sum() <= 1.0 + BOUND_TOLERANCE
+
+
 @record
 class DualityReport:
     records: tuple[DualityRecord, ...]
-    tolerance: float = BOUND_TOLERANCE
 
     @property
     def passed(self) -> bool:
-        return all(r.squared_sum() <= 1.0 + self.tolerance for r in self.records)
+        return all(map(_within_bound, self.records))
 
     def rows(self) -> list[tuple[str, str, str, str, str, str]]:
-        out = []
-        for r in self.records:
-            ok = r.squared_sum() <= 1.0 + self.tolerance
-            out.append(
-                (
-                    r.time_label,
-                    format_stamp(r.time),
-                    format_stamp(r.distinguishability),
-                    format_stamp(r.visibility),
-                    format_stamp(r.squared_sum()),
-                    "PASS" if ok else "FAIL",
-                )
+        return [
+            (
+                r.time_label,
+                format_stamp(r.time),
+                format_stamp(r.distinguishability),
+                format_stamp(r.visibility),
+                format_stamp(r.squared_sum()),
+                "PASS" if _within_bound(r) else "FAIL",
             )
-        return out
+            for r in self.records
+        ]
 
     def render(self) -> str:
         header = ("label", "t", "D", "V", "D^2+V^2", "bound")

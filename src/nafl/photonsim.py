@@ -56,10 +56,8 @@ composite Gauss-Legendre quadrature otherwise (the gaussian envelope).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -129,11 +127,10 @@ class SimConfig:
             raise ConfigError(
                 f"envelope must be one of {ENVELOPES}; got {self.envelope!r}"
             )
-        shape = _shape(self)
         if self.envelope == "gaussian":
             if self.envelope_width is None or not self.envelope_width > 0:
                 raise ConfigError("gaussian envelope needs a positive envelope_width")
-            panels = 2.0 * self.extent / shape.panel
+            panels = 2.0 * self.extent / self.panel
             if not panels <= MAX_PANELS:
                 raise ConfigError(
                     f"envelope_width {self.envelope_width:g} needs {panels:.3g} "
@@ -143,12 +140,17 @@ class SimConfig:
         elif self.envelope_width is not None:
             raise ConfigError("envelope_width only applies to the gaussian envelope")
         for density in ("quantum", "classical"):
-            _norm(density, shape)
+            _norm(density, self)
 
     @property
     def extent(self) -> float:
         """Half-width of the detection window."""
         return self.half_extent * self.period
+
+    @property
+    def panel(self) -> float:
+        """Widest Gauss-Legendre panel of a gaussian-envelope quadrature."""
+        return min(self.period / 2.0, float(self.envelope_width))  # type: ignore[arg-type]
 
 
 def calibration_preset(photons: int, seed: int, mode: str = "quantum") -> SimConfig:
@@ -168,44 +170,18 @@ def calibration_preset(photons: int, seed: int, mode: str = "quantum") -> SimCon
 # --------------------------------------------------------------------------
 
 
-class _Shape(NamedTuple):
-    """The part of a SimConfig that the arrival densities depend on.
-
-    Norms are cached on this rather than on the whole config, so a sweep
-    over seeds or photon counts reuses them.
-    """
-
-    period: float
-    half_extent: int
-    envelope: str
-    envelope_width: float | None
-
-    @property
-    def extent(self) -> float:
-        return self.half_extent * self.period
-
-    @property
-    def panel(self) -> float:
-        """Widest Gauss-Legendre panel of a gaussian-envelope quadrature."""
-        return min(self.period / 2.0, float(self.envelope_width))  # type: ignore[arg-type]
-
-
-def _shape(cfg: SimConfig) -> _Shape:
-    return _Shape(cfg.period, cfg.half_extent, cfg.envelope, cfg.envelope_width)
-
-
-def _envelope_values(x: np.ndarray, shape: _Shape) -> np.ndarray:
-    if shape.envelope == "flat":
+def _envelope_values(x: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    if cfg.envelope == "flat":
         return np.ones_like(x)
-    width = float(shape.envelope_width)  # type: ignore[arg-type]
+    width = float(cfg.envelope_width)  # type: ignore[arg-type]
     return np.exp(-0.5 * (x / width) ** 2)
 
 
-def _raw_density(mode: str, x: np.ndarray, shape: _Shape) -> np.ndarray:
+def _raw_density(mode: str, x: np.ndarray, cfg: SimConfig) -> np.ndarray:
     """Unnormalized density: the envelope, times the fringes if coherent."""
     if mode == "quantum":
-        return _envelope_values(x, shape) * np.cos(np.pi * x / shape.period) ** 2
-    return _envelope_values(x, shape)
+        return _envelope_values(x, cfg) * np.cos(np.pi * x / cfg.period) ** 2
+    return _envelope_values(x, cfg)
 
 
 @lru_cache(maxsize=1)
@@ -213,7 +189,7 @@ def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(20)
 
 
-def _masses(mode: str, edges: np.ndarray, shape: _Shape) -> np.ndarray:
+def _masses(mode: str, edges: np.ndarray, cfg: SimConfig) -> np.ndarray:
     """Unnormalized density mass between each pair of consecutive edges.
 
     Flat envelope: closed forms, with the fringe antiderivative
@@ -222,28 +198,32 @@ def _masses(mode: str, edges: np.ndarray, shape: _Shape) -> np.ndarray:
     width, which agrees with adaptive quadrature to about 1e-15 relative.
     """
     edges = np.asarray(edges, dtype=float)
-    if shape.envelope == "flat":
+    if cfg.envelope == "flat":
         if mode != "quantum":
             return np.diff(edges)
-        p = shape.period
+        p = cfg.period
         antiderivative = edges / 2.0 + p * np.sin(2.0 * np.pi * edges / p) / (4.0 * np.pi)
         return np.diff(antiderivative)
     nodes, weights = _gauss_legendre_rule()
     lo, hi = edges[:-1], edges[1:]
     widest = float(np.max(hi - lo))
-    panels = max(1, math.ceil(widest / shape.panel))
+    panels = max(1, math.ceil(widest / cfg.panel))
     cuts = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, panels + 1)
     half = 0.5 * np.diff(cuts, axis=1)
     mid = 0.5 * (cuts[:, 1:] + cuts[:, :-1])
     x = mid[..., None] + half[..., None] * nodes  # (intervals, panels, nodes)
-    return np.sum(half * (_raw_density(mode, x, shape) @ weights), axis=1)
+    return np.sum(half * (_raw_density(mode, x, cfg) @ weights), axis=1)
 
 
 @lru_cache(maxsize=64)
-def _norm(mode: str, shape: _Shape) -> float:
+def _norm(mode: str, cfg: SimConfig) -> float:
     """Mass of the mode's density over the window; ConfigError unless it and
-    its reciprocal are positive and finite."""
-    norm = float(_masses(mode, np.array([-shape.extent, shape.extent]), shape)[0])
+    its reciprocal are positive and finite.
+
+    Cached per config, so its construction, its oracle and its densities
+    compute each norm once.
+    """
+    norm = float(_masses(mode, np.array([-cfg.extent, cfg.extent]), cfg)[0])
     if not (0.0 < norm < math.inf and 1.0 / norm < math.inf):
         raise ConfigError(
             f"the {mode} density's mass over the window is {norm!r}, which "
@@ -252,21 +232,21 @@ def _norm(mode: str, shape: _Shape) -> float:
     return norm
 
 
-def _pdf(mode: str, x, shape: _Shape):
+def _pdf(mode: str, x, cfg: SimConfig):
     arr = np.asarray(x, dtype=float)
-    inside = np.abs(arr) <= shape.extent
-    values = np.where(inside, _raw_density(mode, arr, shape) / _norm(mode, shape), 0.0)
+    inside = np.abs(arr) <= cfg.extent
+    values = np.where(inside, _raw_density(mode, arr, cfg) / _norm(mode, cfg), 0.0)
     return float(values) if np.isscalar(x) else values
 
 
 def quantum_pdf(x, cfg: SimConfig):
     """Normalized coherent-pattern density; zero outside the extent."""
-    return _pdf("quantum", x, _shape(cfg))
+    return _pdf("quantum", x, cfg)
 
 
 def classical_pdf(x, cfg: SimConfig):
     """Normalized envelope density (uniform for a flat envelope)."""
-    return _pdf("classical", x, _shape(cfg))
+    return _pdf("classical", x, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -522,8 +502,11 @@ class SimResult:
         )
 
 
-def _check_bins(bins: int) -> None:
-    """ConfigError unless the histogram has 2 to MAX_BINS bins."""
+def _check_run(bins: int, workers: int = 1) -> None:
+    """ConfigError unless a run may use ``workers`` threads and a histogram
+    of ``bins`` bins: at least one thread, and 2 to MAX_BINS bins."""
+    if workers < 1:
+        raise ConfigError("workers must be at least 1")
     if bins < 2:
         raise ConfigError(f"the histogram needs at least 2 bins; got {bins}")
     if bins > MAX_BINS:
@@ -543,9 +526,7 @@ def simulate(
     count yields the identical result. With ``keep_photons`` each chunk is
     drawn into its slice of the result's per-photon arrays instead.
     """
-    if workers < 1:
-        raise ConfigError("workers must be at least 1")
-    _check_bins(bins)
+    _check_run(bins, workers)
     fill = partial(_flat_chunk if cfg.envelope == "flat" else _gaussian_chunk, cfg)
     edges = np.linspace(-cfg.extent, cfg.extent, bins + 1)
     kept = None
@@ -578,7 +559,10 @@ def simulate(
         # nafl registers this module lazily, and the first attribute read
         # of the lazy module, which executes it, takes no lock. Reaching
         # simulate was such a read, in the calling thread, so the module is
-        # fully loaded before any worker starts.
+        # fully loaded before any worker starts. Only a run of more than
+        # one thread loads concurrent.futures.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             spaces = list(pool.map(work, range(threads)))
     totals = np.sum([space.counts for space in spaces], axis=0)
@@ -601,17 +585,16 @@ def analytic_blocked_fraction(mode: str, cfg: SimConfig) -> float:
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}; got {mode!r}")
-    shape = _shape(cfg)
     wires = make_grid(cfg)
-    if mode == "quantum" and shape.envelope == "flat":
+    if mode == "quantum" and cfg.envelope == "flat":
         # Each wire is centred on a minimum, where the fringe integral is
         # (w - p sin(pi w/p)/pi)/2; unlike a difference of antiderivatives,
         # this form does not cancel for narrow wires.
         w, p = cfg.wire_width, cfg.period
         raw = len(wires) * (w - p * math.sin(math.pi * w / p) / math.pi) / 2.0
     else:
-        raw = float(np.sum(_masses(mode, np.ravel(wires), shape)[::2]))
-    return raw / _norm(mode, shape)
+        raw = float(np.sum(_masses(mode, np.ravel(wires), cfg)[::2]))
+    return raw / _norm(mode, cfg)
 
 
 def _chi2_sf(chi2: float, dof: int) -> float:
@@ -680,7 +663,7 @@ def _wire_windows(cfg: SimConfig, bins: int) -> tuple[np.ndarray, list]:
     more than MAX_BINS, or when some wire's window holds no bin centre to
     search for its minimum. The count is checked before anything is allocated.
     """
-    _check_bins(bins)
+    _check_run(bins)
     edges = np.linspace(-cfg.extent, cfg.extent, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     windows = []
@@ -701,15 +684,17 @@ def _detected_masses(cfg: SimConfig, edges: np.ndarray) -> np.ndarray:
 
     The bin and wire edges are merged, and each merged interval's mass counts
     toward its bin unless the interval lies inside a wire. Without a grid
-    nothing is inside a wire, so each bin keeps its whole mass.
+    nothing is inside a wire, so each bin keeps its whole mass. The merge is
+    np.union1d's, sort then drop repeats, written out: union1d loads numpy.ma.
     """
     wires = np.ravel(make_grid(cfg)) if cfg.grid else np.empty(0)
-    merged = np.union1d(edges, wires)
+    merged = np.sort(np.concatenate([edges, wires]))
+    merged = merged[np.append(True, merged[1:] != merged[:-1])]
     middles = 0.5 * (merged[:-1] + merged[1:])
     free = np.searchsorted(wires, middles) % 2 == 0
     bins = np.searchsorted(edges, middles) - 1
     return np.bincount(
-        bins[free], weights=_masses("quantum", merged, _shape(cfg))[free],
+        bins[free], weights=_masses("quantum", merged, cfg)[free],
         minlength=edges.size - 1,
     )
 

@@ -244,12 +244,6 @@ def _validate(scenario: Scenario) -> None:
         raise ScenarioValidationError(
             f"tracked atom {scenario.tracked!r} is not declared"
         )
-    for bridge in scenario.bridges:
-        stray = atoms_of(bridge) - vocabulary
-        if stray:
-            raise ScenarioValidationError(
-                f"bridge {bridge} uses undeclared atom(s) {', '.join(sorted(stray))}"
-            )
 
     plain_declare_labels: set[str] = set()
     for event in scenario.events:
@@ -334,7 +328,7 @@ def load_scenario(path_or_name: str) -> Scenario:
     """Load a scenario file, or a built-in when the argument names one."""
     if os.path.exists(path_or_name):
         return parse_scenario(read_text(path_or_name))
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", path_or_name):
+    if is_name(path_or_name):
         return builtin_scenario(path_or_name)
     raise ScenarioValidationError(f"no scenario file at {path_or_name!r}")
 

@@ -322,6 +322,16 @@ def test_sim_workers_below_one_exit_1_before_simulating(workers, capsys):
     assert captured.out == ""
 
 
+def test_sim_workers_below_one_leave_no_out_file(tmp_path, capsys):
+    out = tmp_path / "h.csv"
+    assert run(["sim", "--photons", "10", "--workers", "0", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", str(2**64)], ["--period", "inf"]])
 def test_sim_out_of_range_config_exits_1(flags, capsys):
     assert run(["sim", "--photons", "2000", *flags]) == 1

@@ -221,7 +221,7 @@ def test_gaussian_norms_match_adaptive_quadrature(width):
 def test_gaussian_bin_masses_match_adaptive_quadrature(width):
     cfg = small(envelope="gaussian", envelope_width=width)
     edges = np.linspace(-cfg.extent, cfg.extent, 101)
-    masses = photonsim._masses("quantum", edges, photonsim._shape(cfg))
+    masses = photonsim._masses("quantum", edges, cfg)
     raw = _gaussian_fringes(width)
     expected = [_quad(raw, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     np.testing.assert_allclose(masses, expected, rtol=1e-12, atol=0.0)
@@ -230,7 +230,7 @@ def test_gaussian_bin_masses_match_adaptive_quadrature(width):
 def test_flat_bin_masses_match_adaptive_quadrature():
     cfg = small()
     edges = np.linspace(-cfg.extent, cfg.extent, 101)
-    masses = photonsim._masses("quantum", edges, photonsim._shape(cfg))
+    masses = photonsim._masses("quantum", edges, cfg)
     expected = [
         _quad(lambda x: math.cos(math.pi * x) ** 2, lo, hi)
         for lo, hi in zip(edges[:-1], edges[1:])
@@ -419,18 +419,19 @@ def test_worker_count_never_changes_the_result():
         simulate(cfg, workers=0)
 
 
-def test_seed_sweep_reuses_the_norms():
-    # a geometry no other test uses, so the first run is a miss
+def test_a_configs_norms_are_computed_once():
+    # a geometry no other test uses, so its norms are not cached yet
+    misses = photonsim._norm.cache_info().misses
     cfg = small(photons=500, period=0.75, wire_width=0.07,
                 envelope="gaussian", envelope_width=2.5)
     simulate(cfg)
-    norms = photonsim._norm.cache_info().hits
-    for seed in range(1, 6):
-        swept = dataclasses.replace(cfg, seed=seed, photons=500 + seed)
-        simulate(swept)
-        analytic_blocked_fraction("quantum", swept)
-        assert simulate(swept, workers=2) == simulate(swept, workers=1)
-    assert photonsim._norm.cache_info().hits >= norms + 5
+    analytic_blocked_fraction("quantum", cfg)
+    analytic_blocked_fraction("classical", cfg)
+    quantum_pdf(0.0, cfg)
+    classical_pdf(0.0, cfg)
+    assert simulate(cfg, workers=2) == simulate(cfg, workers=1)
+    # one per density, both computed while constructing the config
+    assert photonsim._norm.cache_info().misses == misses + 2
 
 
 def _plain_flat_chunk(cfg, rng, count):
@@ -832,6 +833,31 @@ def test_reconstruction_rejects_an_unusable_bin_count(bins):
     # the bin count is fixed when simulating
     with pytest.raises(NaflError, match="holds a 100-bin histogram"):
         reconstruct(simulate(calibration_preset(20_000, 4)), bins)
+
+
+@pytest.mark.parametrize("with_wire_edges", [False, True])
+@pytest.mark.parametrize(
+    "cfg",
+    [calibration_preset(1000, 0), small(envelope="gaussian", envelope_width=3.0), small(grid=False)],
+    ids=["preset", "gaussian", "no-grid"],
+)
+def test_detected_masses_merge_the_edges_as_union1d_does(cfg, with_wire_edges):
+    # the masses over np.union1d's merge, written out; bin edges that are
+    # also wire edges make repeats for the merge to drop
+    edges = np.linspace(-cfg.extent, cfg.extent, 101)
+    grid = np.ravel(make_grid(cfg))
+    wires = grid if cfg.grid else np.empty(0)
+    if with_wire_edges:
+        edges = np.sort(np.concatenate([edges, grid[:3]]))
+    merged = np.union1d(edges, wires)
+    middles = 0.5 * (merged[:-1] + merged[1:])
+    free = np.searchsorted(wires, middles) % 2 == 0
+    bins = np.searchsorted(edges, middles) - 1
+    expected = np.bincount(
+        bins[free], weights=photonsim._masses("quantum", merged, cfg)[free],
+        minlength=edges.size - 1,
+    )
+    assert np.array_equal(photonsim._detected_masses(cfg, edges), expected)
 
 
 def test_reconstruct_takes_its_bin_count_from_the_result():

@@ -166,7 +166,8 @@ def test_validation_errors():
         parse_scenario(MINIMAL.replace("track P", "track Z"))
     with pytest.raises(ScenarioValidationError):  # missing track
         parse_scenario(MINIMAL.replace("track P\n", ""))
-    with pytest.raises(ScenarioValidationError):  # bridge over undeclared atom
+    # bridge over undeclared atom: the base theory refuses it
+    with pytest.raises(ScenarioValidationError, match="base theory rejected: .* undeclared atom"):
         parse_scenario(MINIMAL.replace("bridge Q -> P", "bridge Z -> P"))
     with pytest.raises(ScenarioValidationError):  # event at unknown time
         parse_scenario(MINIMAL.replace("at t1 declare Q", "at t9 declare Q"))

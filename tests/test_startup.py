@@ -79,6 +79,19 @@ def test_a_failed_sim_load_fails_the_same_way_every_time(run_python):
     assert lines == ["ModuleNotFoundError numpy"] * 4 + ["1 True"]
 
 
+def test_a_one_worker_sim_loads_only_what_it_runs(run_python):
+    # np.union1d would load numpy.ma, and a thread pool concurrent.futures
+    script = (
+        "import contextlib, io, sys\n"
+        "import nafl.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = nafl.cli.main(['sim', '--preset', '--photons', '20000'])\n"
+        "print(code, 'chi-square' in out.getvalue(),\n"
+        "      *[m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules])\n"
+    )
+    assert run_python(script).split() == ["0", "True"]
+
+
 def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from nafl import *", namespace)

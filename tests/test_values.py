@@ -6,7 +6,6 @@ import pickle
 
 import pytest
 
-from nafl.duality import BOUND_TOLERANCE, DualityReport
 from nafl.models import ClassicalModel, build_nonclassical, classical_models, nc_eval
 from nafl.record import record
 from nafl.scenarios import DeclareEvent
@@ -103,7 +102,6 @@ def test_record_defaults():
     assert DeclareEvent(3, "t1", (P,), expect_reject=True).expect_reject is True
     theory = Theory("T", {"P"})
     assert Timeline(theory, (Epoch(0.0, (), theory),)).retro_assertions == ()
-    assert DualityReport(()).tolerance == BOUND_TOLERANCE
 
 
 def test_records_are_frozen_values():
