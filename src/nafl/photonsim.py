@@ -180,7 +180,7 @@ def _envelope_values(x: np.ndarray, cfg: SimConfig) -> np.ndarray:
 def _raw_density(mode: str, x: np.ndarray, cfg: SimConfig) -> np.ndarray:
     """Unnormalized density: the envelope, times the fringes if coherent."""
     if mode == "quantum":
-        return _envelope_values(x, cfg) * np.cos(np.pi * x / cfg.period) ** 2
+        return _envelope_values(x, cfg) * np.cos(np.pi * (x / cfg.period)) ** 2
     return _envelope_values(x, cfg)
 
 
@@ -202,7 +202,8 @@ def _masses(mode: str, edges: np.ndarray, cfg: SimConfig) -> np.ndarray:
         if mode != "quantum":
             return np.diff(edges)
         p = cfg.period
-        antiderivative = edges / 2.0 + p * np.sin(2.0 * np.pi * edges / p) / (4.0 * np.pi)
+        # the phase in periods first: 2 pi times an edge can overflow
+        antiderivative = edges / 2.0 + p * np.sin(2.0 * np.pi * (edges / p)) / (4.0 * np.pi)
         return np.diff(antiderivative)
     nodes, weights = _gauss_legendre_rule()
     lo, hi = edges[:-1], edges[1:]

@@ -30,6 +30,7 @@ delayed_choice, schrodinger_cat, coin_toss, young_two_slit.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -45,7 +46,7 @@ from .errors import (
     read_text,
 )
 from .record import record
-from .syntax import NAME, Atom, Formula, atoms_of, is_name, parse_formula_at, split_line
+from .syntax import NAME, Formula, atoms_of, is_name, parse_formula_at, split_line
 from .theories import Theory
 from .timeline import BCPReport, Timeline, format_stamp, format_table
 
@@ -95,7 +96,15 @@ class Scenario:
         return tuple(name for name, _ in self.atoms)
 
     def base_theory(self) -> Theory:
-        """Theory over the scenario vocabulary axiomatized by the bridges."""
+        """Theory over the scenario vocabulary axiomatized by the bridges.
+
+        Built once per scenario, by the validation that checks the bridges,
+        and shared by every later call and run.
+        """
+        return self._base
+
+    @functools.cached_property
+    def _base(self) -> Theory:
         return Theory(self.name, self.vocabulary(), self.bridges)
 
 
@@ -467,12 +476,8 @@ def run_scenario(scenario: Scenario) -> TimelineReport:
         for start, end in zip(boundaries, boundaries[1:] + [float("inf")])
     )
 
-    truth_rows: list[tuple[str, tuple[str, ...]]] = []
-    for atom_name, _ in scenario.atoms:
-        cells = tuple(
-            tl.truth_at(start, Atom(atom_name)).value for start, _ in columns
-        )
-        truth_rows.append((atom_name, cells))
+    atom_cells = tl._atom_cells([start for start, _ in columns])
+    truth_rows = [(name, atom_cells[name]) for name, _ in scenario.atoms]
     for record in tl.retro_assertions:
         label = (
             f"retro [{format_stamp(record.start)}, {format_stamp(record.end)}) "

@@ -25,8 +25,10 @@ added, which is what construction enforces.
 
 A Theory in hand is therefore already validated, so ``extend`` checks only
 the delta, each formula against the theory grown so far, and never the
-axioms it inherits. A Theory decides each formula at most once: statuses
-are memoized per Theory, and the layered rule reads the same memo.
+axioms it inherits. A Theory computes each formula's table at most once:
+statuses are memoized per Theory, and the layered rule reads the same memo.
+One pass can decide every atom at once, since an atom's table is its
+column; it enters each atom's status in that memo.
 
 Truth tables. A Theory holds the table of its models (see ``classical``):
 the AND of its axioms' tables over its sorted vocabulary, which every
@@ -64,6 +66,17 @@ class PropStatus(enum.Enum):
     UNDECIDABLE = "undecidable"
 
 
+def _status_of(models: int, truth: int) -> PropStatus:
+    """The status rule, for a formula whose table is truth against a theory
+    whose table of models is models."""
+    held = models & truth
+    if held == models:
+        return PropStatus.PROVABLE
+    if not held:
+        return PropStatus.REFUTABLE
+    return PropStatus.UNDECIDABLE
+
+
 @record
 class Theory:
     """Immutable named axiom set over a fixed vocabulary.
@@ -77,8 +90,9 @@ class Theory:
     name: str
     vocabulary: frozenset[str]
     axioms: tuple[Formula, ...] = ()
-    # Private, so outside eq, hash and repr: the memo, the table of models,
-    # and the vocabulary's columns and full table.
+    # Private, so outside eq, hash and repr: the memo (statuses by formula,
+    # an atom's by its name), the table of models, and the vocabulary's
+    # columns and full table.
     _status: dict
     _models: int
     _columns: dict
@@ -166,7 +180,8 @@ class Theory:
 
     def classify(self, phi: Formula) -> PropStatus:
         """Provable if true in every model, refutable if in none, else undecidable."""
-        status = self._status.get(phi)
+        key = phi.name if phi.__class__ is Atom else phi
+        status = self._status.get(key)
         if status is None:
             try:
                 truth = self._table(phi)
@@ -176,16 +191,20 @@ class Theory:
                     f"formula {phi} uses atom(s) {', '.join(sorted(stray))} "
                     f"outside the vocabulary of theory {self.name!r}"
                 ) from None
-            models = self._models
-            held = models & truth
-            if held == models:
-                status = PropStatus.PROVABLE
-            elif not held:
-                status = PropStatus.REFUTABLE
-            else:
-                status = PropStatus.UNDECIDABLE
-            self._status[phi] = status
+            status = self._status[key] = _status_of(self._models, truth)
         return status
+
+    def _atom_statuses(self) -> dict[str, PropStatus]:
+        """Every atom's status by name, in one pass over the atoms' columns.
+
+        An atom's table is its column, so the pass computes no table. It
+        enters each status in the memo that atom_status and classify share;
+        an atom memoized already gets the same status again.
+        """
+        models, memo, statuses = self._models, self._status, {}
+        for name, column in self._columns.items():
+            memo[name] = statuses[name] = _status_of(models, column)
+        return statuses
 
     def is_legal(self, phi: Formula) -> bool:
         """Membership in this theory's theory syntax (layered rule)."""

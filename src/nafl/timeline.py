@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from operator import attrgetter
 from typing import Sequence
 
@@ -35,7 +35,7 @@ from .errors import (
     UnprovableRetroError,
 )
 from .record import record
-from .syntax import Formula
+from .syntax import Atom, Formula
 from .theories import PropStatus, Theory
 
 
@@ -43,6 +43,14 @@ class TruthValue(enum.Enum):
     TRUE = "true"
     FALSE = "false"
     NEITHER = "neither"
+
+
+# The provability rule: the truth value of each status.
+_TRUTH = {
+    PropStatus.PROVABLE: TruthValue.TRUE,
+    PropStatus.REFUTABLE: TruthValue.FALSE,
+    PropStatus.UNDECIDABLE: TruthValue.NEITHER,
+}
 
 
 def _finite(t: float) -> float:
@@ -169,12 +177,33 @@ class Timeline:
             raise IllegalPropositionError(
                 f"{phi} is outside the theory syntax of {theory.name!r} at time {t}"
             )
-        status = theory.classify(phi)
-        if status is PropStatus.PROVABLE:
-            return TruthValue.TRUE
-        if status is PropStatus.REFUTABLE:
-            return TruthValue.FALSE
-        return TruthValue.NEITHER
+        return _TRUTH[theory.classify(phi)]
+
+    def _atom_cells(self, times: Sequence[float]) -> dict[str, tuple[str, ...]]:
+        """Per atom name, ``truth_at(t, Atom(name)).value`` at each of `times`,
+        none of which is before the start.
+
+        Each time is mapped to its epoch once, and each epoch's theory
+        decides all of its atoms in one pass. No legality check is needed:
+        an undecided atom is legal by rule (a), a decided one by rule (b).
+        """
+        starts = [epoch.start for epoch in self.epochs]
+        indices = [bisect_right(starts, t) - 1 for t in times]
+        value = {status: truth.value for status, truth in _TRUTH.items()}
+        passes = {}  # per epoch index, its atoms' values in the order of _columns
+        for k in dict.fromkeys(indices):
+            statuses = self.epochs[k].theory._atom_statuses()
+            passes[k] = [value[status] for status in statuses.values()]
+        names = list(self.base._columns)
+        cells = dict.fromkeys(names, ())
+        cells.update(zip(names, zip(*(passes[k] for k in indices))))
+        for phi, since in self._retro_since.items():
+            if isinstance(phi, Atom):
+                cells[phi.name] = tuple(
+                    TruthValue.NEITHER.value if t < since else cell
+                    for t, cell in zip(times, cells[phi.name])
+                )
+        return cells
 
     # -- retroactive assertions ---------------------------------------------------
 
@@ -249,16 +278,33 @@ def audit_kind_intervals(
     Takes a raw (start, end, kind) stream so corrupted or synthetic reports
     can be audited, not only well-formed timelines. Returns a list of
     (instant, kind, other kind) conflicts; empty means single-valued.
+
+    Two intervals conflict when their kinds differ and the later start lies
+    before both ends; the instant is that start. A conflict names the kind
+    of the entry earlier in the stream first, and conflicts are ordered by
+    that entry's place in the stream, then by the other's.
+
+    One sweep in order of start finds them: each kind keeps its open
+    intervals as (end, index) in order, and an interval meets the open ones
+    of the other kinds. Apart from list moves, the cost is O(n log n) plus
+    the number of conflicts.
     """
-    conflicts: list[tuple[float, str, str]] = []
-    for i, (s1, e1, k1) in enumerate(entries):
-        for s2, e2, k2 in entries[i + 1 :]:
-            if k1 == k2:
-                continue
-            lo = max(s1, s2)
-            if lo < min(e1, e2):
-                conflicts.append((lo, k1, k2))
-    return conflicts
+    open_by_kind: dict[str, list[tuple[float, int]]] = {}
+    pairs: list[tuple[int, int]] = []
+    for start, j in sorted((s, i) for i, (s, e, _) in enumerate(entries) if s < e):
+        _, end, kind = entries[j]
+        for other, ends in list(open_by_kind.items()):
+            del ends[: bisect_right(ends, (start, math.inf))]  # closed by start
+            if not ends:
+                del open_by_kind[other]
+            elif other != kind:
+                pairs.extend((min(i, j), max(i, j)) for _, i in ends)
+        insort(open_by_kind.setdefault(kind, []), (end, j))
+    pairs.sort()
+    return [
+        (max(entries[i][0], entries[j][0]), entries[i][2], entries[j][2])
+        for i, j in pairs
+    ]
 
 
 @record

@@ -119,3 +119,16 @@ def lp_value(formula: Formula, statuses: Mapping[str, PropStatus]) -> float:
 def lp_eval(formula: Formula, statuses: Mapping[str, PropStatus]) -> bool:
     """True iff formula's LP value is designated (at least 1/2)."""
     return lp_value(formula, statuses) >= 0.5
+
+
+def audit_by_all_pairs(entries):
+    """Model-kind conflicts by comparing every pair of (start, end, kind)
+    entries in stream order: (later start, kind, other kind) where two
+    entries of different kinds overlap."""
+    conflicts = []
+    for i, (s1, e1, k1) in enumerate(entries):
+        for s2, e2, k2 in entries[i + 1 :]:
+            lo = max(s1, s2)
+            if k1 != k2 and lo < min(e1, e2):
+                conflicts.append((lo, k1, k2))
+    return conflicts

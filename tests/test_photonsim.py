@@ -21,6 +21,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,22 @@ def test_config_accepts_the_bounds_themselves():
 def test_config_rejects_a_window_mass_that_cannot_be_normalized():
     with pytest.raises(ValueError, match="cannot be normalized"):
         small(**UNNORMALIZABLE)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("envelope_width", [None, 1e307])
+def test_a_window_near_the_float_limit_simulates_without_warnings(mode, envelope_width):
+    # 2 pi times an edge of this window overflows, while the window itself and
+    # every phase taken in periods stay finite.
+    envelope = "flat" if envelope_width is None else "gaussian"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = small(photons=1000, period=3e307, half_extent=1, mode=mode,
+                    envelope=envelope, envelope_width=envelope_width)
+        res = simulate(cfg)
+        fraction = analytic_blocked_fraction(mode, cfg)
+    assert res.counts.sum() + res.blocked_count == res.photons
+    assert 0.0 <= fraction < 1e-300
 
 
 def test_the_largest_seed_simulates():

@@ -1,12 +1,15 @@
 """Scenario DSL parsing, validation, execution, and reports."""
 
+import glob
 import os
+import random
 import sys
 
 import pytest
 
 import nafl
 from nafl.errors import (
+    NaflError,
     ParseError,
     ScenarioExecutionError,
     ScenarioParseError,
@@ -22,8 +25,12 @@ from nafl.scenarios import (
     parse_scenario,
     run_scenario,
 )
+from nafl.syntax import Atom
 from nafl.syntax import parse_formula as pf
-from nafl.theories import load_theory
+from nafl.theories import Theory, load_theory
+
+GOLDEN_SCENARIOS = os.path.join(os.path.dirname(__file__), "golden", "scenarios")
+BUILTIN_DIR = os.path.join(os.path.dirname(nafl.__file__), "builtin")
 
 MINIMAL = """\
 scenario wire_probe
@@ -344,6 +351,125 @@ def test_retro_events_cost_no_more_than_the_table_they_fill():
     small, large = retro_chain(100), retro_chain(200)
     assert len(run_scenario(large).truth_rows) == 2 + 200
     assert nafl_lines_executed(large) < 6 * nafl_lines_executed(small)
+
+
+def repeated_declares(events):
+    """A scenario that declares P again at each of `events` times."""
+    lines = ["scenario repeat", 'atom P "the marker is set"', "track P"]
+    lines += [f"time t{k} {k}" for k in range(events + 1)]
+    lines += [f"at t{k} declare P" for k in range(1, events + 1)]
+    return parse_scenario("\n".join(lines) + "\n")
+
+
+def test_repeated_declares_cost_work_linear_in_the_epochs():
+    # Every stage of a run, the audit of model kinds included, is linear in
+    # the epochs here, so doubling them doubles the work (2.0x). An audit
+    # that compares every pair of epochs reads 3.9x.
+    small, large = repeated_declares(2000), repeated_declares(4000)
+    assert nafl_lines_executed(large) <= 2.5 * nafl_lines_executed(small)
+
+
+def chain_scenario(seed):
+    """A random chain: bridges L(i+1) -> L(i) over literals L(i) of A<i>, then
+    declarations that force a prefix (L(j)) or a suffix (~L(j)) of the chain,
+    kept apart so they never conflict, and retro assertions of literals and
+    conjunctions that the declarations so far prove."""
+    rng = random.Random(seed)
+    size = rng.randint(2, 8)
+    signs = [rng.random() < 0.5 for _ in range(size)]
+
+    def lit(i, positive=True):
+        return f"A{i}" if signs[i] == positive else f"~A{i}"
+
+    split = rng.randint(0, size)  # prefixes end below it, suffixes start at it
+    steps = rng.randint(0, 5)
+    lines = ["scenario chain", *(f'atom A{i} "link {i}"' for i in range(size))]
+    lines += [f"time t{k} {k}" for k in range(steps + 1)]
+    lines += [f"bridge {lit(i + 1)} -> {lit(i)}" for i in range(size - 1)]
+    lines.append(f"track A{rng.randrange(size)}")
+    proved = -1  # the highest position proved by a prefix declaration
+    for k in range(1, steps + 1):
+        if split < size and (split == 0 or rng.random() < 0.5):
+            lines.append(f"at t{k} declare {lit(rng.randrange(split, size), False)}")
+        elif split > 0:
+            j = rng.randrange(split)
+            proved = max(proved, j)
+            lines.append(f"at t{k} declare {lit(j)}")
+        if proved >= 0 and rng.random() < 0.7:
+            i, j = rng.randint(0, proved), rng.randint(0, proved)
+            formula = lit(i) if rng.random() < 0.5 else f"{lit(i)} & {lit(j)}"
+            lines.append(f"at t{k} retro [t0, t{rng.randint(1, k)}) {formula}")
+    return "\n".join(lines) + "\n"
+
+
+def runnable_scenario_texts():
+    """Every built-in, every golden scenario that runs, and random chains."""
+    paths = sorted(glob.glob(os.path.join(BUILTIN_DIR, "*.scn")))
+    paths += sorted(glob.glob(os.path.join(GOLDEN_SCENARIOS, "*.scn")))
+    texts = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            texts.append(handle.read())
+    return texts + [chain_scenario(seed) for seed in range(60)]
+
+
+def test_every_report_cell_is_the_timelines_truth():
+    ran = 0
+    for text in runnable_scenario_texts():
+        try:
+            report = run_scenario(parse_scenario(text))
+        except NaflError:
+            continue
+        ran += 1
+        tl = report.timeline
+        rows = [(name, Atom(name), None) for name, _ in report.scenario.atoms]
+        rows += [(None, r.formula, r.asserted_at) for r in tl.retro_assertions]
+        assert len(report.truth_rows) == len(rows)
+        for (label, cells), (name, phi, asserted_at) in zip(report.truth_rows, rows):
+            assert name is None or label == name
+            for (start, _), cell in zip(report.columns, cells, strict=True):
+                if asserted_at is not None and start < asserted_at:
+                    assert cell == "-"
+                else:
+                    assert cell == tl.truth_at(start, phi).value, (label, start)
+    assert ran >= 6 + 1 + 60  # the built-ins, tabs.scn and the chains
+
+
+def test_a_parse_and_a_run_build_one_base_theory(monkeypatch):
+    built = []
+    init = Theory.__init__
+    monkeypatch.setattr(
+        Theory, "__init__", lambda self, *args: built.append(args[0]) or init(self, *args)
+    )
+    for name in builtin_names():
+        built.clear()
+        scenario = builtin_scenario(name)
+        report = run_scenario(scenario)
+        assert built == [name]
+        assert scenario.base_theory() is report.timeline.base
+
+
+def with_idle_atoms(text, count):
+    """The scenario with `count` more atoms that no formula names."""
+    return text + "".join(f'atom Idle{k} "unused"\n' for k in range(count))
+
+
+def test_atom_rows_cost_one_pass_per_epoch_and_no_table(table_calls, monkeypatch):
+    passes = []
+    decide = Theory._atom_statuses
+    monkeypatch.setattr(Theory, "_atom_statuses", lambda self: passes.append(self) or decide(self))
+    for name in builtin_names():
+        with open(os.path.join(BUILTIN_DIR, f"{name}.scn"), encoding="utf-8") as handle:
+            text = handle.read()
+        costs = []
+        for extra in (0, 8):
+            table_calls.clear()
+            passes.clear()
+            report = run_scenario(parse_scenario(with_idle_atoms(text, extra)))
+            assert [id(t) for t in passes] == [id(e.theory) for e in report.timeline.epochs]
+            costs.append(len(table_calls))
+        # eight more rows, one cell per column each, and no more tables
+        assert costs[0] == costs[1], name
 
 
 def test_eventless_scenario_runs():

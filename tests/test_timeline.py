@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nafl.errors import (
     BeforeExperimentError,
@@ -22,6 +24,9 @@ from nafl.timeline import (
     audit_kind_intervals,
     format_stamp,
 )
+
+
+from oracles import audit_by_all_pairs
 
 
 def base():
@@ -224,6 +229,22 @@ def test_audit_accepts_matching_overlaps_and_disjoint_kinds():
     assert audit_kind_intervals([(0, 2, "classical"), (1, 3, "classical")]) == []
     assert audit_kind_intervals([(0, 1, "nonclassical"), (1, 2, "classical")]) == []
     assert audit_kind_intervals([]) == []
+
+
+# Few distinct stamps, so that starts, ends and ties collide; ints and floats
+# mixed, infinite ends, and empty or inverted intervals.
+_STAMPS = st.sampled_from([-math.inf, 0, 0.0, 1, 1.5, 2.0, 3, math.inf])
+_KINDS = st.sampled_from(["classical", "nonclassical", "other"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_STAMPS, _STAMPS, _KINDS), max_size=12))
+def test_audit_lists_the_conflicts_of_every_pair_in_stream_order(entries):
+    conflicts = audit_kind_intervals(entries)
+    expected = audit_by_all_pairs(entries)
+    assert conflicts == expected
+    # the same values of the same types: 0 and 0.0 print differently
+    assert [type(c[0]) for c in conflicts] == [type(c[0]) for c in expected]
 
 
 def test_format_stamp():
