@@ -7,6 +7,7 @@ from nafl import (
     Timeline,
     build_nonclassical,
     builtin_scenario,
+    classical_models,
     nc_eval,
     parse_formula,
     run_scenario,
@@ -25,7 +26,7 @@ base = scenario.base_theory()
 model = build_nonclassical(base)
 print(f"\nBefore the box opens every atom is undecided; the theory's")
 print(f"classical models superpose into one nonclassical model with")
-print(f"{len(model.components)} components.")
+print(f"{len(classical_models(base))} components.")
 
 alive = parse_formula("P")
 both = parse_formula("P & ~P")
@@ -70,4 +71,4 @@ the declared observation V made it provable. Queried at t < 2 the
 assertion answers '-': before the box was opened there was no fact of
 the matter to report.
 """)
-print(report.duality_table_text())
+print(report.duality.render())

@@ -20,13 +20,7 @@ import sys
 import types
 
 from .classical import entails, is_satisfiable, vocabulary_of
-from .duality import (
-    BOUND_TOLERANCE,
-    DualityRecord,
-    DualityReport,
-    assign_duality,
-    duality_check,
-)
+from .duality import BOUND_TOLERANCE, DualityRecord, DualityReport, assign_duality
 from .errors import (
     BeforeExperimentError,
     ConfigError,
@@ -194,7 +188,6 @@ __all__ = [
     "calibration_preset",
     "classical_models",
     "classical_pdf",
-    "duality_check",
     "entails",
     "format_formula",
     "format_stamp",

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Four subcommands:
+Three subcommands:
 
 * check    - classify a theory file's atoms and queries;
-* run      - execute a scenario and print the full timeline report;
-* duality  - print just the complementarity table for a scenario;
+* run      - execute a scenario and print the full timeline report, whose
+             duality table checks D^2 + V^2 <= 1 at every labeled time;
 * sim      - run the photon Monte Carlo and summarize it.
 
 Exit codes: 0 success; 1 malformed input, no numpy for sim, or stdout
@@ -85,16 +85,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------
-# run / duality
+# run
 # --------------------------------------------------------------------------
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """``run`` prints the whole report, ``duality`` its complementarity table."""
     report = run_scenario(load_scenario(args.scenario))
-    if args.command == "duality":
-        print(report.duality_table_text())
-        return EXIT_OK if report.duality.passed else EXIT_CHECK_FAILED
     print(report.render())
     if not report.bcp.passed or not report.duality.passed:
         return EXIT_CHECK_FAILED
@@ -268,12 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario", help=f"scenario file path or builtin name ({builtin_list})"
     )
     p_run.set_defaults(func=cmd_run)
-
-    p_dual = sub.add_parser("duality", help="print a scenario's complementarity table")
-    p_dual.add_argument(
-        "scenario", help=f"scenario file path or builtin name ({builtin_list})"
-    )
-    p_dual.set_defaults(func=cmd_run)
 
     p_sim = sub.add_parser("sim", help="run the photon Monte Carlo")
     for name, (read, choices) in _SETTINGS.items():

@@ -8,7 +8,7 @@ assigned; the audit then checks the squared sum against the unit bound.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .record import record
 from .theories import PropStatus
@@ -52,6 +52,9 @@ def _within_bound(r: DualityRecord) -> bool:
 
 @record
 class DualityReport:
+    """The unit-bound audit of a scenario's records: PASS iff every record
+    obeys D^2 + V^2 <= 1."""
+
     records: tuple[DualityRecord, ...]
 
     @property
@@ -75,8 +78,3 @@ class DualityReport:
         header = ("label", "t", "D", "V", "D^2+V^2", "bound")
         verdict = f"duality: {'PASS' if self.passed else 'FAIL'}"
         return "\n".join(["duality:", *format_table([header, *self.rows()]), verdict])
-
-
-def duality_check(records: Sequence[DualityRecord]) -> DualityReport:
-    """Audit the unit bound on each record; PASS iff every record obeys it."""
-    return DualityReport(tuple(records))

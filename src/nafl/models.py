@@ -53,7 +53,8 @@ def classical_models(theory: Theory) -> frozenset[ClassicalModel]:
 
 @record
 class NonclassicalModel:
-    """Superposition of the classical models of a theory.
+    """Superposition of the classical models of a theory, held as the
+    theory's atom statuses alone: nothing here enumerates those models.
 
     For each atom the generating theory's status is recorded. A positive
     literal is nonclassically true iff the negation is not provable; a
@@ -62,7 +63,6 @@ class NonclassicalModel:
     """
 
     theory_name: str
-    components: frozenset[ClassicalModel]
     atom_status: tuple[tuple[str, PropStatus], ...]
 
     @functools.cached_property
@@ -100,7 +100,7 @@ def build_nonclassical(theory: Theory) -> NonclassicalModel:
             f"every atom of theory {theory.name!r} is decided; "
             "the model is classical, not superposed"
         )
-    return NonclassicalModel(theory.name, classical_models(theory), statuses)
+    return NonclassicalModel(theory.name, statuses)
 
 
 def nc_eval(model: NonclassicalModel, phi: Formula) -> bool:

@@ -578,24 +578,39 @@ def simulate(
 # --------------------------------------------------------------------------
 
 
+# x - sin x = x^3 (1/3! - x^2/5! + x^4/7! - ...): below x = 1, where the
+# difference loses digits to cancellation, nine terms reach double precision.
+_SINE_TAIL = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(9))
+
+
+def _x_minus_sin(x: float) -> float:
+    """x - sin x for x >= 0, to a few ulps; +0.0 where it underflows."""
+    if x >= 1.0:
+        return x - math.sin(x)
+    y = x * x
+    total = 0.0
+    for coefficient in reversed(_SINE_TAIL):
+        total = total * y + coefficient
+    return total * x * y
+
+
 def analytic_blocked_fraction(mode: str, cfg: SimConfig) -> float:
     """Mass of the mode's density over the wire intervals.
 
     Computed from the grid geometry alone, whether or not cfg.grid is set;
-    absolute error stays below 1e-12.
+    absolute error stays below 1e-12, and for the flat quantum pattern the
+    relative error stays near double precision however narrow the wires.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}; got {mode!r}")
     wires = make_grid(cfg)
     if mode == "quantum" and cfg.envelope == "flat":
         # Each wire is centred on a minimum, where the fringe integral is
-        # (w - p sin(pi w/p)/pi)/2; unlike a difference of antiderivatives,
-        # this form does not cancel for narrow wires.
-        w, p = cfg.wire_width, cfg.period
-        raw = len(wires) * (w - p * math.sin(math.pi * w / p) / math.pi) / 2.0
-    else:
-        raw = float(np.sum(_masses(mode, np.ravel(wires), cfg)[::2]))
-    return raw / _norm(mode, cfg)
+        # p (x - sin x) / (2 pi) with x = pi w / p.
+        p = cfg.period
+        scale = len(wires) * (p / _norm(mode, cfg)) / (2.0 * math.pi)
+        return scale * _x_minus_sin(math.pi * (cfg.wire_width / p))
+    return float(np.sum(_masses(mode, np.ravel(wires), cfg)[::2])) / _norm(mode, cfg)
 
 
 def _chi2_sf(chi2: float, dof: int) -> float:

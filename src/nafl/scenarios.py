@@ -18,8 +18,8 @@ fault):
 
 Atom and location names and time labels follow the theory reader's name
 rule, ``[A-Za-z_][A-Za-z0-9_]*`` (``syntax.NAME``); a name outside it is
-reported at its own column. Times must be declared in strictly increasing
-order. At most one plain
+reported at its own column, and so is a time label declared twice. Times
+must be declared in strictly increasing order. At most one plain
 declare event may target a given time label (its formulas open one epoch).
 ``expect-reject`` marks a declaration that the theory syntax is supposed to
 refuse; the run logs the refusal and reports a mismatch if it succeeds.
@@ -35,7 +35,7 @@ import math
 import os
 import re
 
-from .duality import DualityRecord, DualityReport, assign_duality, duality_check
+from .duality import DualityRecord, DualityReport, assign_duality
 from .errors import (
     IllegalAxiomError,
     InconsistentTheoryError,
@@ -136,7 +136,7 @@ def parse_scenario(text: str) -> Scenario:
     name: str | None = None
     atoms: list[tuple[str, str]] = []
     locations: list[tuple[str, str]] = []
-    times: list[tuple[str, float]] = []
+    times: dict[str, float] = {}  # label -> value, in file order
     bridges: list[Formula] = []
     events: list[Event] = []
     tracked: str | None = None
@@ -163,6 +163,8 @@ def parse_scenario(text: str) -> Scenario:
             label, text = parts
             if not is_name(label):
                 raise ScenarioParseError(f"bad time label {label!r}", lineno, column)
+            if label in times:
+                raise ScenarioParseError(f"duplicate time label {label!r}", lineno, column)
             where = column + len(rest) - len(text)  # the value ends the line
             try:
                 value = float(text)
@@ -170,7 +172,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioParseError(f"bad time value {text!r}", lineno, where) from None
             if not math.isfinite(value):
                 raise ScenarioParseError(f"time value {text!r} is not finite", lineno, where)
-            times.append((label, value))
+            times[label] = value
         elif directive == "bridge":
             bridges.append(parse_formula_at(rest, lineno, column, ScenarioParseError))
         elif directive == "track":
@@ -188,7 +190,7 @@ def parse_scenario(text: str) -> Scenario:
         name,
         tuple(atoms),
         tuple(locations),
-        tuple(times),
+        tuple(times.items()),
         tuple(bridges),
         tuple(events),
         tracked or "",
@@ -236,8 +238,6 @@ def _validate(scenario: Scenario) -> None:
     if not scenario.times:
         raise ScenarioValidationError(f"scenario {scenario.name!r} declares no times")
     times = dict(scenario.times)
-    if len(times) != len(scenario.times):
-        raise ScenarioValidationError("duplicate time labels")
     values = [value for _, value in scenario.times]
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ScenarioValidationError(
@@ -387,9 +387,6 @@ class TimelineReport:
         rows = [header] + [[label, *cells] for label, cells in self.truth_rows]
         return "\n".join(["truth table:", *format_table(rows)])
 
-    def duality_table_text(self) -> str:
-        return self.duality.render()
-
     def render(self) -> str:
         sections = [f"scenario: {self.scenario.name}", f"tracked atom: {self.scenario.tracked}"]
         epoch_lines = ["epochs:"]
@@ -405,7 +402,7 @@ class TimelineReport:
         sections.append("\n".join(epoch_lines))
         sections.append(self.truth_table_text())
         sections.append(self.bcp.render())
-        sections.append(self.duality_table_text())
+        sections.append(self.duality.render())
         if self.rejections:
             lines = ["rejections:"]
             for record in self.rejections:
@@ -500,7 +497,7 @@ def run_scenario(scenario: Scenario) -> TimelineReport:
         tuple(truth_rows),
         bcp,
         records,
-        duality_check(records),
+        DualityReport(records),
         tuple(rejections),
         tuple(mismatches),
     )

@@ -8,8 +8,8 @@ its standard output and its standard error. ``tests/test_golden.py``
 compares the stored files with fresh runs byte for byte, so a change that
 alters the CLI's output on purpose shows up as a diff of these files.
 
-The cases are ``run`` and ``duality`` on every built-in scenario, ``run``
-on every ``scenarios/*.scn`` file, ``check`` on every ``theories/*.thy``
+The cases are ``run`` on every built-in scenario and on every
+``scenarios/*.scn`` file, ``check`` on every ``theories/*.thy``
 file plus one missing file, and ``sim --config`` on every ``configs/*.cfg``
 file.
 """
@@ -29,9 +29,8 @@ def cases() -> dict[str, list[str]]:
     from nafl.scenarios import builtin_names
 
     found: dict[str, list[str]] = {}
-    for command in ("run", "duality"):
-        for name in builtin_names():
-            found[f"{command}-{name}"] = [command, name]
+    for name in builtin_names():
+        found[f"run-{name}"] = ["run", name]
     for file in _files("scenarios", ".scn"):
         found[f"run-{file[: -len('.scn')]}"] = ["run", f"scenarios/{file}"]
     for file in _files("theories", ".thy") + ["missing.thy"]:

@@ -105,7 +105,7 @@ def test_check_inconsistency_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
-@pytest.mark.parametrize("command", ["check", "run", "duality"])
+@pytest.mark.parametrize("command", ["check", "run"])
 def test_unreadable_input_file_exits_1(command, kind, tmp_path, capsys):
     path = tmp_path / "input"
     if kind == "directory":
@@ -118,7 +118,7 @@ def test_unreadable_input_file_exits_1(command, kind, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-# -- run / duality ------------------------------------------------------------
+# -- run ---------------------------------------------------------------------
 
 
 def test_run_builtin_scenario(capsys):
@@ -199,11 +199,14 @@ def test_run_failed_audit_exits_3(monkeypatch, capsys):
     assert run(["run", "afshar"]) == 3
 
 
-def test_duality_table(capsys):
-    assert run(["duality", "schrodinger_cat"]) == 0
-    out = capsys.readouterr().out
-    assert "D^2+V^2" in out
-    assert "duality: PASS" in out
+def test_the_removed_duality_subcommand_is_an_invalid_choice(capsys):
+    # run's report holds the duality table; there is no second text path
+    with pytest.raises(SystemExit) as info:
+        run(["duality", "afshar"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice" in captured.err and "duality" in captured.err
 
 
 CLOSED_PIPE = """\
@@ -224,7 +227,6 @@ THEORIES = Path(__file__).parent / "golden" / "theories"
     "argv",
     [
         ["run", "afshar"],
-        ["duality", "afshar"],
         ["check", str(THEORIES / "qm.thy")],
         # an error after partial output
         pytest.param(["check", str(THEORIES / "stray_query.thy")], id="check-stray_query"),

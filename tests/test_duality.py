@@ -1,11 +1,6 @@
 """Distinguishability/visibility records and the unit bound audit."""
 
-from nafl.duality import (
-    BOUND_TOLERANCE,
-    DualityRecord,
-    assign_duality,
-    duality_check,
-)
+from nafl.duality import BOUND_TOLERANCE, DualityRecord, DualityReport, assign_duality
 from nafl.scenarios import builtin_scenario
 from nafl.syntax import parse_formula as pf
 from nafl.timeline import Timeline
@@ -30,7 +25,7 @@ def test_endpoint_records_pass_the_bound():
         DualityRecord("t0", 0.0, 0.0, 1.0),
         DualityRecord("t1", 1.0, 1.0, 0.0),
     )
-    report = duality_check(records)
+    report = DualityReport(records)
     assert report.passed
     rendered = report.render()
     assert "duality: PASS" in rendered
@@ -40,13 +35,13 @@ def test_endpoint_records_pass_the_bound():
 def test_simultaneous_full_knowledge_and_visibility_fails():
     # a record claiming D = V = 1 at once violates the bound
     records = (DualityRecord("t0", 0.0, 1.0, 1.0),)
-    report = duality_check(records)
+    report = DualityReport(records)
     assert not report.passed
     assert "FAIL" in report.render()
 
 
 def test_tolerance_is_tight():
     just_inside = DualityRecord("a", 0.0, 1.0, (BOUND_TOLERANCE / 2) ** 0.5)
-    assert duality_check((just_inside,)).passed
+    assert DualityReport((just_inside,)).passed
     outside = DualityRecord("b", 0.0, 1.0, (4 * BOUND_TOLERANCE) ** 0.5)
-    assert not duality_check((outside,)).passed
+    assert not DualityReport((outside,)).passed

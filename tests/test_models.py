@@ -65,12 +65,26 @@ def test_sixteen_atoms_give_classical_and_superposed_models():
     assert found == {(False,) * k + (True,) * (16 - k) for k in range(17)}
     assert build_nonclassical(chain).superposed_atoms == frozenset(names)
     # with no axioms at all, every valuation is a model
-    free = build_nonclassical(Theory("F", names, ()))
-    assert len(free.components) == 1 << 16
-    assert {tuple(v for _, v in m.assignment) for m in free.components} == set(
+    free = Theory("F", names, ())
+    every = classical_models(free)
+    assert len(every) == 1 << 16
+    assert {tuple(v for _, v in m.assignment) for m in every} == set(
         itertools.product((False, True), repeat=16)
     )
-    assert free.superposed_atoms == frozenset(names)
+    assert build_nonclassical(free).superposed_atoms == frozenset(names)
+
+
+def test_the_superposed_model_enumerates_no_classical_model(monkeypatch):
+    # Built from the atom statuses alone: 16 free atoms would otherwise cost
+    # 65536 ClassicalModel objects that nothing reads.
+    def refuse(theory):
+        raise AssertionError("build_nonclassical enumerated the classical models")
+
+    monkeypatch.setattr(models, "classical_models", refuse)
+    names = [f"A{i:02d}" for i in range(16)]
+    model = build_nonclassical(Theory("F", names, ()))
+    assert model.superposed_atoms == frozenset(names)
+    assert nc_eval(model, pf("A00 & ~A00")) is True
 
 
 def _grown(names, steps):
@@ -105,7 +119,7 @@ def test_superposed_model_over_undecided_atoms():
     theory = Theory("T0", frozenset({"P", "Q"}), ())
     model = build_nonclassical(theory)
     assert model.superposed_atoms == frozenset({"P", "Q"})
-    assert len(model.components) == 4
+    assert len(classical_models(theory)) == 4
     # both literals hold for a superposed atom
     assert model.literal_truth("P") is True
     assert model.literal_truth("P", negated=True) is True

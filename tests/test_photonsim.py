@@ -17,6 +17,7 @@ w - sin(pi w)/pi (period units), whose cubic leading term is
 """
 
 import dataclasses
+import decimal
 import hashlib
 import itertools
 import math
@@ -336,6 +337,47 @@ def test_cubic_law_for_narrow_wires():
         assert analytic_blocked_fraction("quantum", cfg) == pytest.approx(
             cubic, rel=5e-3
         )
+
+
+PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _flat_quantum_fraction(width: float, period: float) -> float:
+    """(x - sin x) / pi with x = pi w / p, summed as a 60-digit series."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = PI * decimal.Decimal(width) / decimal.Decimal(period)
+        term = total = x**3 / 6
+        k = 1
+        while abs(term) > total * decimal.Decimal("1e-50"):
+            term = -term * x * x / ((2 * k + 2) * (2 * k + 3))
+            total += term
+            k += 1
+        return float(total / PI)
+
+
+@pytest.mark.parametrize(
+    "width, period",
+    [
+        (0.3184, 1.0),  # just above the series' cut-off at pi w / p = 1
+        (0.3183, 1.0),  # just below it
+        (0.066, 1.0),
+        (0.05, 1.0),
+        (1e-3, 1.0),
+        (1e-6, 1.0),
+        (1e-30, 1.0),
+        (1e-103, 1.0),  # the fraction itself is subnormal
+        (5e-324, 1.0),  # the smallest subnormal w/p
+        (0.05, 3e307),  # a subnormal w/p in a window near the float limit
+    ],
+)
+def test_narrow_wire_fraction_keeps_its_relative_precision(width, period):
+    cfg = small(wire_width=width, period=period, half_extent=1)
+    got = analytic_blocked_fraction("quantum", cfg)
+    want = _flat_quantum_fraction(width, period)
+    assert math.copysign(1.0, got) == 1.0
+    # relative error 1e-14, or two subnormal spacings where the value underflows
+    assert abs(got - want) <= 1e-14 * want + 1e-323
 
 
 def test_quantum_fraction_is_far_below_classical():

@@ -151,6 +151,7 @@ def test_formula_errors_report_their_column_within_the_line(line, column):
         ('location a-b "left"', 10, "bad location name 'a-b'"),
         ("   track Q", 4, "duplicate 'track' line"),
         (" scenario again", 2, "duplicate 'scenario' line"),
+        ("time  t0 5", 7, "duplicate time label 't0'"),
     ],
 )
 def test_line_errors_report_the_column_of_the_word_they_name(line, column, message):
@@ -188,6 +189,18 @@ def test_validation_errors():
         )
     with pytest.raises(ScenarioValidationError):  # duplicate atom
         parse_scenario(MINIMAL + 'atom P "again"\n')
+    retro = {
+        "at t1 retro [t0, t9) P": "retro event on line 8 references unknown time 't9'",
+        "at t1 retro [t0, t1) Z": "retro event on line 8 uses undeclared atom\\(s\\) Z",
+        "at t1 retro [t1, t1) P": "retro event on line 8 has an empty interval",
+    }
+    for event, message in retro.items():
+        with pytest.raises(ScenarioValidationError, match=message):
+            parse_scenario(MINIMAL.replace("at t1 declare Q", event))
+    with pytest.raises(ScenarioValidationError, match="'wire_probe' declares no times"):
+        parse_scenario(MINIMAL.replace("time t0 0\ntime t1 1\n", ""))
+    with pytest.raises(ScenarioParseError, match="'scenario' needs a name"):
+        parse_scenario(MINIMAL.replace("scenario wire_probe", "scenario"))
 
 
 def test_multi_formula_declare_opens_one_epoch():

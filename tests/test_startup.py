@@ -27,7 +27,7 @@ print(code, *[m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules
 PRESET_1000_CSV = "467b1d31b4e34b7bf41b6fea78ddd72bb1e0c663a55ab6117360bdcad1663e81"
 
 
-@pytest.mark.parametrize("command", ["import", "run", "check", "duality"])
+@pytest.mark.parametrize("command", ["import", "run", "check"])
 def test_logic_commands_leave_numpy_unloaded(command, run_python, tmp_path):
     argv = [command, "afshar"]
     if command == "import":
