@@ -13,11 +13,12 @@ was rejected; 3 a soundness check failed (single-model-kind audit or
 duality bound); 4 an expect-reject annotation did not match what actually
 happened.
 
-Every NaflError reaches ``main``, which prints ``error: <message>`` on
-stderr and exits with the error class's ``exit_code``: 1 for input the
-program cannot read (parse, vocabulary, validation, config), 2 for a
-rejection (illegal axiom, inconsistency, a failed scenario event, too few
-samples per bin). Only sim's skipped reconstruction catches one first.
+Every NaflError reaches ``main``, which prints ``error: <prefix><message>``
+on stderr, with the error class's ``prefix``, and exits with its
+``exit_code``: 1 for input the program cannot read (parse, vocabulary,
+validation, config), 2 for a rejection (illegal axiom, inconsistency, a
+failed scenario event, too few samples per bin). Only sim's skipped
+reconstruction catches one first.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from typing import TextIO
 from . import photonsim
 from .errors import (
     ConfigError,
-    IllegalAxiomError,
-    InconsistentTheoryError,
     NaflError,
     TooFewSamplesError,
     UnreadableFileError,
@@ -46,14 +45,6 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_CHECK_FAILED = 3
 EXIT_EXPECTATION_MISMATCH = 4
-
-# What an error's message is prefixed with on stderr.
-_PREFIX = {IllegalAxiomError: "illegal axiom: ", InconsistentTheoryError: "inconsistent: "}
-
-
-def _explain(exc: Exception) -> str:
-    return _PREFIX.get(type(exc), "") + str(exc)
-
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -293,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             code = args.func(args)
         except NaflError as exc:
-            code = _fail(_explain(exc), exc.exit_code)
+            code = _fail(exc.prefix + str(exc), exc.exit_code)
         sys.stdout.flush()  # a reader that closed stdout early fails here, not at exit
         return code
     except BrokenPipeError:

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by every layer of the package, and the one
 reader of input files, which turns an unreadable file into one of them.
 A class's ``exit_code`` is what the command line exits with on its error:
-1 for input nafl cannot read, 2 for a well-formed statement it rejects."""
+1 for input nafl cannot read, 2 for a well-formed statement it rejects.
+Its ``prefix`` goes before the message on stderr, and the two rejections a
+theory makes carry the ``kind`` a scenario report logs them under."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ class NaflError(Exception):
     """Base class for all errors raised by this package."""
 
     exit_code = 1
+    prefix = ""
 
 
 class ParseError(NaflError):
@@ -38,6 +41,8 @@ class IllegalAxiomError(NaflError):
     """Formula outside the theory syntax was offered as an axiom."""
 
     exit_code = 2
+    prefix = "illegal axiom: "
+    kind = "illegal-axiom"
 
     def __init__(self, formula_text: str, reason: str):
         super().__init__(f"{formula_text} cannot be added as an axiom: {reason}")
@@ -49,6 +54,8 @@ class InconsistentTheoryError(NaflError):
     """Axiom set has no model."""
 
     exit_code = 2
+    prefix = "inconsistent: "
+    kind = "inconsistency"
 
 
 class NoSuperpositionError(NaflError):

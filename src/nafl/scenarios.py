@@ -450,12 +450,7 @@ def run_scenario(scenario: Scenario) -> TimelineReport:
                 try:
                     tl.declare(at, event.formulas)
                 except (IllegalAxiomError, InconsistentTheoryError) as exc:
-                    kind = (
-                        "illegal-axiom"
-                        if isinstance(exc, IllegalAxiomError)
-                        else "inconsistency"
-                    )
-                    rejections.append(RejectionRecord(event, at, kind, str(exc)))
+                    rejections.append(RejectionRecord(event, at, exc.kind, str(exc)))
                 else:
                     mismatches.append(
                         f"{event.describe()}: declaration was expected to be "

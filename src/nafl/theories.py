@@ -25,10 +25,10 @@ added, which is what construction enforces.
 
 A Theory in hand is therefore already validated, so ``extend`` checks only
 the delta, each formula against the theory grown so far, and never the
-axioms it inherits. A Theory computes each formula's table at most once:
-statuses are memoized per Theory, and the layered rule reads the same memo.
-One pass can decide every atom at once, since an atom's table is its
-column; it enters each atom's status in that memo.
+axioms it inherits. A Theory computes each compound formula's table at
+most once: those statuses are memoized per Theory, by formula. An atom's
+table is its column, so an atom is decided by one AND against the models,
+with no table and no memo entry; the layered rule decides atoms that way.
 
 Truth tables. A Theory holds the table of its models (see ``classical``):
 the AND of its axioms' tables over its sorted vocabulary, which every
@@ -84,14 +84,14 @@ class Theory:
     Construction validates everything: atom names, vocabulary size, axiom atoms,
     incremental axiom legality, and consistency. A Theory in hand is
     therefore always consistent, so its table of models is never empty, and
-    every status it decides is memoized.
+    every compound formula's status it decides is memoized.
     """
 
     name: str
     vocabulary: frozenset[str]
     axioms: tuple[Formula, ...] = ()
-    # Private, so outside eq, hash and repr: the memo (statuses by formula,
-    # an atom's by its name), the table of models, and the vocabulary's
+    # Private, so outside eq, hash and repr: the memo (statuses of compound
+    # formulas, by formula), the table of models, and the vocabulary's
     # columns and full table.
     _status: dict
     _models: int
@@ -171,17 +171,22 @@ class Theory:
     # -- classification -----------------------------------------------------
 
     def atom_status(self, name: str) -> PropStatus:
-        """Status of a single atom, from the same memo as classify."""
-        if name not in self.vocabulary:
+        """Status of a single atom: its column against the models."""
+        try:
+            column = self._columns[name]
+        except KeyError:
             raise UnknownAtomError(
                 f"atom {name!r} is outside the vocabulary of theory {self.name!r}"
-            )
-        return self.classify(Atom(name))
+            ) from None
+        return _status_of(self._models, column)
 
     def classify(self, phi: Formula) -> PropStatus:
         """Provable if true in every model, refutable if in none, else undecidable."""
-        key = phi.name if phi.__class__ is Atom else phi
-        status = self._status.get(key)
+        if phi.__class__ is Atom:
+            column = self._columns.get(phi.name)
+            if column is not None:
+                return _status_of(self._models, column)
+        status = self._status.get(phi)
         if status is None:
             try:
                 truth = self._table(phi)
@@ -191,42 +196,35 @@ class Theory:
                     f"formula {phi} uses atom(s) {', '.join(sorted(stray))} "
                     f"outside the vocabulary of theory {self.name!r}"
                 ) from None
-            status = self._status[key] = _status_of(self._models, truth)
+            status = self._status[phi] = _status_of(self._models, truth)
         return status
 
     def _atom_statuses(self) -> dict[str, PropStatus]:
-        """Every atom's status by name, in one pass over the atoms' columns.
-
-        An atom's table is its column, so the pass computes no table. It
-        enters each status in the memo that atom_status and classify share;
-        an atom memoized already gets the same status again.
-        """
-        models, memo, statuses = self._models, self._status, {}
-        for name, column in self._columns.items():
-            memo[name] = statuses[name] = _status_of(models, column)
-        return statuses
+        """Every atom's status by name, in the sorted order of the
+        vocabulary: atom_status's rule, for all of them at once."""
+        models = self._models
+        return {name: _status_of(models, column) for name, column in self._columns.items()}
 
     def is_legal(self, phi: Formula) -> bool:
         """Membership in this theory's theory syntax (layered rule)."""
         if self.classify(phi) is PropStatus.UNDECIDABLE:
             return True
         return all(
-            self.atom_status(name) is not PropStatus.UNDECIDABLE
-            for name in sorted(atoms_of(phi))
+            self.atom_status(name) is not PropStatus.UNDECIDABLE for name in atoms_of(phi)
         )
 
     def decided_atoms(self) -> tuple[str, ...]:
         return tuple(
             name
-            for name in sorted(self.vocabulary)
-            if self.atom_status(name) is not PropStatus.UNDECIDABLE
+            for name, status in self._atom_statuses().items()
+            if status is not PropStatus.UNDECIDABLE
         )
 
     def undecided_atoms(self) -> tuple[str, ...]:
         return tuple(
             name
-            for name in sorted(self.vocabulary)
-            if self.atom_status(name) is PropStatus.UNDECIDABLE
+            for name, status in self._atom_statuses().items()
+            if status is PropStatus.UNDECIDABLE
         )
 
     # -- extension ------------------------------------------------------------

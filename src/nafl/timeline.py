@@ -31,7 +31,6 @@ from .errors import (
     IllegalPropositionError,
     OutOfOrderTimeError,
     TimelineError,
-    UnknownAtomError,
     UnprovableRetroError,
 )
 from .record import record
@@ -253,11 +252,6 @@ class Timeline:
 
     def model_kind_intervals(self, tracked: str) -> tuple[tuple[float, float, str], ...]:
         """Per epoch: (start, end, 'classical'|'nonclassical') for the tracked atom."""
-        if tracked not in self.base.vocabulary:
-            raise UnknownAtomError(
-                f"tracked atom {tracked!r} is outside the vocabulary of "
-                f"{self.base.name!r}"
-            )
         rows = []
         for (start, end), epoch in zip(self.intervals(), self.epochs):
             decided = epoch.theory.atom_status(tracked) is not PropStatus.UNDECIDABLE

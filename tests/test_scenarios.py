@@ -485,6 +485,20 @@ def test_atom_rows_cost_one_pass_per_epoch_and_no_table(table_calls, monkeypatch
         assert costs[0] == costs[1], name
 
 
+def test_atoms_leave_no_memo_entry_and_cost_no_table(table_calls):
+    timeline = run_scenario(builtin_scenario("afshar")).timeline
+    for theory in [timeline.base] + [epoch.theory for epoch in timeline.epochs]:
+        for name in sorted(theory.vocabulary):
+            table_calls.clear()
+            theory.classify(Atom(name))
+            theory.atom_status(name)
+            assert table_calls == [], (theory.name, name)
+            theory.is_legal(Atom(name))
+            theory.is_legal(pf(f"{name} | ~{name}"))
+        atom_keys = [key for key in theory._status if isinstance(key, (str, Atom))]
+        assert atom_keys == [], theory.name
+
+
 def test_eventless_scenario_runs():
     report = run_scenario(builtin_scenario("young_two_slit"))
     assert len(report.timeline.epochs) == 1
